@@ -178,7 +178,7 @@ int RunSegmentSweep() {
       }
       auto config = hal.CompileConfig(kQ13Pattern);
       if (!config.ok()) return 1;
-      auto out = RegexpFpgaPartitionedPooled(&hal, resident, *config);
+      auto out = RegexpFpgaPartitioned(&hal, resident, *config);
       if (!out.ok()) {
         std::fprintf(stderr, "resident scan: %s\n",
                      out.status().ToString().c_str());

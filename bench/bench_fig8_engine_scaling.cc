@@ -133,7 +133,7 @@ int main() {
         q.timing_only = true;  // throughput experiment
         pointers.push_back(&q);
       }
-      if (!RegexpFpgaBatchPooled(&hal, pointers).ok()) return 1;
+      if (!RegexpFpgaBatch(&hal, pointers).ok()) return 1;
       completed += kQueriesPerWave;
     }
     const double seconds = SecondsFromPicos(hal.pool()->MaxNow());

@@ -138,7 +138,7 @@ RateMeasurement RunLoop(Hal* hal, const Bat& input, bool cache_on,
     if (it == expected->end()) {
       auto config = hal->CompileConfig(pattern);
       if (!config.ok()) std::exit(1);
-      auto direct = RegexpFpgaPartitionedPooled(hal, input, *config);
+      auto direct = RegexpFpgaPartitioned(hal, input, *config);
       if (!direct.ok()) std::exit(1);
       std::vector<int16_t> column(static_cast<size_t>(input.count()));
       for (int64_t r = 0; r < input.count(); ++r) {

@@ -87,6 +87,7 @@ class Buffer {
 
   /// Appends `bytes` bytes from `src`, growing as needed.
   Status Append(const void* src, int64_t bytes) {
+    if (bytes == 0) return Status::OK();  // data_ may still be null
     DOPPIO_RETURN_NOT_OK(Reserve(size_ + bytes));
     std::memcpy(data_ + size_, src, static_cast<size_t>(bytes));
     size_ += bytes;
@@ -95,6 +96,7 @@ class Buffer {
 
   /// Grows the logical size by `bytes` of zeroed content.
   Status AppendZeros(int64_t bytes) {
+    if (bytes == 0) return Status::OK();  // data_ may still be null
     DOPPIO_RETURN_NOT_OK(Reserve(size_ + bytes));
     std::memset(data_ + size_, 0, static_cast<size_t>(bytes));
     size_ += bytes;

@@ -47,20 +47,24 @@ obs::JobTraceRecord MakeJobRecord(obs::TraceId trace,
   return record;
 }
 
-/// One submitted (or degraded) slice of a batched query.
+/// One slice of a scan request: a device job, or a host re-run once the
+/// device gave up on it.
 struct Slice {
   JobParams params;  // kept alive across resubmissions
-  FpgaJob job;       // invalid when the submit itself degraded
+  FpgaJob job;       // valid while in flight
   JobOutcome outcome;
+  size_t request = 0;  // index into the request list
+  int device = 0;      // pool member that owns the slice
   bool fallback = false;
 };
 
-/// Per-query bookkeeping across the batch's submit/await phases.
-struct QueryRun {
-  FpgaBatchQuery* query = nullptr;
-  Stopwatch udf_watch;  // started when the query enters the batch
-  obs::TraceId trace = obs::kInvalidTraceId;
-  std::vector<Slice> slices;
+/// Per-(request, device) virtual-time extent. Device clocks are separate
+/// domains, so a request's hardware phase is the MAX of its per-device
+/// extents, never a difference of stamps from two different clocks.
+struct ClockExtent {
+  SimTime first_enqueue = std::numeric_limits<SimTime>::max();
+  SimTime last_finish = 0;
+  bool any = false;
 };
 
 /// Demultiplexes a set-compiled query's row-major staging results
@@ -71,8 +75,8 @@ struct QueryRun {
 Status DemuxSetOutputs(Hal* hal, FpgaBatchQuery& q) {
   if (q.streams <= 1) return Status::OK();
   const int streams = q.streams;
-  // q.rows/q.first_row were normalized in Phase 0: the admission snapshot
-  // span, not whatever the input has grown to by demux time.
+  // q.rows/q.first_row were normalized at validation: the admission
+  // snapshot span, not whatever the input has grown to by demux time.
   const int64_t n = q.rows - q.first_row;
   q.set_outputs.clear();
   q.set_outputs.resize(static_cast<size_t>(streams));
@@ -173,28 +177,251 @@ Result<HudfResult> RegexpHost(const DeviceConfig& device, const Bat& input,
   return out;
 }
 
-Status RegexpFpgaBatch(Hal* hal,
-                       const std::vector<FpgaBatchQuery*>& queries) {
+Status ExecuteScans(Hal* hal, const std::vector<ScanRequest>& requests) {
+  DevicePool* pool = hal->pool();
   obs::Tracer& tracer = obs::Tracer::Global();
   const RetryPolicy& policy = hal->retry_policy();
-  const int num_engines = hal->device_config().num_engines;
+  const int num_devices = pool->size();
+  const auto at = [](auto& v, int i) -> auto& {
+    return v[static_cast<size_t>(i)];
+  };
 
-  std::vector<QueryRun> runs;
-  runs.reserve(queries.size());
+  // Slice every request horizontally (paper §7.5): by default one slice
+  // per engine across the pool, each with its own heap extent — up to the
+  // next slice's first string (the heap is written in row order), or the
+  // view's end for the last slice.
+  Stopwatch hal_watch;
+  std::vector<Slice> slices;
+  for (size_t r = 0; r < requests.size(); ++r) {
+    const ScanRequest& req = requests[r];
+    if (req.rows == 0) continue;
+    const int64_t partitions = std::min<int64_t>(
+        req.partitions > 0 ? req.partitions : pool->total_engines(),
+        req.rows);
+    const int64_t chunk = (req.rows + partitions - 1) / partitions;
+    const uint32_t* offsets = reinterpret_cast<const uint32_t*>(req.offsets);
+    for (int64_t first = 0; first < req.rows; first += chunk) {
+      Slice& slice = slices.emplace_back();
+      slice.request = r;
+      JobParams& params = slice.params;
+      params.count = std::min<int64_t>(chunk, req.rows - first);
+      params.offsets = req.offsets + first * req.offset_width;
+      params.offset_width = req.offset_width;
+      params.heap = req.heap;
+      const int64_t end = first + params.count;
+      params.heap_bytes = end < req.rows ? static_cast<int64_t>(offsets[end])
+                                         : req.heap_bytes;
+      params.result = req.result + first * 2 * req.streams;
+      params.streams = req.streams;
+      params.config = req.config->vector.bytes();
+      params.timing_only = req.timing_only;
+    }
+  }
 
+  // Placement: apportion the slices across the pool proportional to each
+  // member's free engines, then deal them round-robin so every device
+  // sees a mix of requests rather than one request's whole tail.
+  std::vector<std::deque<Slice*>> pending(static_cast<size_t>(num_devices));
+  {
+    std::vector<int> quota = pool->ShardCounts(static_cast<int>(slices.size()));
+    int d = 0;
+    for (Slice& slice : slices) {
+      while (at(quota, d) == 0) d = (d + 1) % num_devices;
+      at(pending, d).push_back(&slice);
+      --at(quota, d);
+      d = (d + 1) % num_devices;
+    }
+  }
+
+  int64_t remaining = static_cast<int64_t>(slices.size());
+  std::vector<std::deque<Slice*>> inflight(static_cast<size_t>(num_devices));
+  std::vector<ClockExtent> extents(requests.size() *
+                                   static_cast<size_t>(num_devices));
+  // A device whose last resolution degraded to software is *suspect*: it
+  // keeps draining work already queued to it but does not steal more
+  // until it completes a slice in hardware again, so a stalled member does
+  // not steal back the backlog just rebalanced away from it.
+  std::vector<char> suspect(static_cast<size_t>(num_devices), 0);
+  // Keep device `d` loaded up to its engine count, so a backlog stays
+  // stealable; a device whose own backlog ran dry steals queued slices
+  // from the most backlogged member (ties to the lowest index). With one
+  // device there is nothing to steal: every slice is submitted before the
+  // first await, the paper's single-device order. A submit that degrades
+  // resolves its slice at once (it runs on the host after the drain).
+  auto top_up = [&](int d) -> Status {
+    const size_t cap =
+        num_devices > 1
+            ? static_cast<size_t>(pool->device(d)->config().num_engines)
+            : slices.size();
+    while (at(inflight, d).size() < cap) {
+      if (at(pending, d).empty()) {
+        if (at(suspect, d)) return Status::OK();  // no stealing
+        int victim = -1;
+        size_t victim_backlog = 0;
+        for (int v = 0; v < num_devices; ++v) {
+          if (v != d && at(pending, v).size() > victim_backlog) {
+            victim = v;
+            victim_backlog = at(pending, v).size();
+          }
+        }
+        if (victim < 0) return Status::OK();  // nothing left anywhere
+        // Steal from the BACK of the victim's queue: the victim keeps its
+        // next-up work, the thief takes the tail it would reach last.
+        at(pending, d).push_back(at(pending, victim).back());
+        at(pending, victim).pop_back();
+        pool->NoteSteal(victim, d);
+      }
+      Slice* slice = at(pending, d).front();
+      at(pending, d).pop_front();
+      slice->device = d;
+      Result<FpgaJob> job = SubmitJobWithRetry(
+          pool->device(d), slice->params, policy, &slice->outcome);
+      if (job.ok()) {
+        slice->job = *job;
+        at(inflight, d).push_back(slice);
+        pool->NoteInflight(d, +1);
+      } else if (IsFallbackEligible(job.status())) {
+        slice->fallback = true;
+        at(suspect, d) = 1;
+        --remaining;
+      } else {
+        return job.status();
+      }
+    }
+    return Status::OK();
+  };
+
+  for (int d = 0; d < num_devices; ++d) DOPPIO_RETURN_NOT_OK(top_up(d));
+  const double hal_seconds = hal_watch.ElapsedSeconds();
+
+  // Drain: visit devices round-robin, await one in-flight slice per visit
+  // (a device's clock advances only while the host waits on it), then top
+  // the device back up. Deterministic: placement, visit order and steal
+  // choice depend only on queue sizes, never on host timing.
+  Stopwatch wait_watch;
+  while (remaining > 0) {
+    bool progress = false;
+    for (int d = 0; d < num_devices && remaining > 0; ++d) {
+      if (at(inflight, d).empty()) DOPPIO_RETURN_NOT_OK(top_up(d));
+      if (at(inflight, d).empty()) continue;
+      Slice* slice = at(inflight, d).front();
+      at(inflight, d).pop_front();
+      pool->NoteInflight(d, -1);
+      const ScanRequest& req = requests[slice->request];
+      Status st = AwaitJobWithRecovery(pool->device(d), &slice->job,
+                                       slice->params, policy,
+                                       &slice->outcome);
+      if (st.ok()) {
+        const JobStatus& status = slice->job.status();
+        if (req.trace != obs::kInvalidTraceId) {
+          tracer.RecordJob(MakeJobRecord(req.trace, status));
+        }
+        ClockExtent& extent =
+            extents[slice->request * static_cast<size_t>(num_devices) +
+                    static_cast<size_t>(d)];
+        extent.any = true;
+        extent.first_enqueue =
+            std::min(extent.first_enqueue, status.enqueue_time);
+        extent.last_finish = std::max(extent.last_finish, status.finish_time);
+        QueryStats& stats = *req.stats;
+        stats.rows_matched += status.matches;
+        if (stats.pu_kernel.empty()) stats.pu_kernel = status.pu_kernel;
+        stats.functional_bytes += status.functional_bytes;
+        stats.functional_seconds += status.functional_host_seconds;
+        at(suspect, d) = 0;
+      } else if (IsFallbackEligible(st)) {
+        slice->fallback = true;
+        at(suspect, d) = 1;
+        // Fault feedback: this device just burned its whole retry budget
+        // on a slice. Deal its queued backlog round-robin to the other
+        // members instead of feeding more work into a failing device.
+        int thief = d;
+        while (num_devices > 1 && !at(pending, d).empty()) {
+          thief = (thief + 1) % num_devices;
+          if (thief == d) thief = (thief + 1) % num_devices;
+          at(pending, thief).push_back(at(pending, d).front());
+          at(pending, d).pop_front();
+          pool->NoteSteal(d, thief);
+        }
+      } else {
+        return st;
+      }
+      --remaining;
+      progress = true;
+      DOPPIO_RETURN_NOT_OK(top_up(d));
+    }
+    // Every device idle with slices unresolved would be a livelock; the
+    // loop above always resolves at least one slice per pass.
+    DOPPIO_CHECK(progress);
+  }
+  const double drain_seconds = wait_watch.ElapsedSeconds();
+
+  // Slices no device could complete degrade to the host matchers: a query
+  // must not fail for a fault the CPU can absorb.
+  for (Slice& slice : slices) {
+    const ScanRequest& req = requests[slice.request];
+    QueryStats& stats = *req.stats;
+    pool->NoteSlice(slice.device, slice.params.count);
+    stats.job_retries += slice.outcome.retries;
+    if (slice.outcome.ok && slice.outcome.fault_seen) {
+      stats.faults_recovered += 1;
+    }
+    if (!slice.fallback) continue;
+    if (req.trace != obs::kInvalidTraceId) {
+      tracer.RecordInstant(req.trace, "sw_fallback",
+                           pool->device(slice.device)->now());
+    }
+    DOPPIO_ASSIGN_OR_RETURN(int64_t matches,
+                            RunHostSlice(hal->device_config(), slice.params));
+    stats.rows_matched += matches;
+    stats.fallback_rows += slice.params.count;
+    FallbackRowsCounter().Add(slice.params.count);
+  }
+
+  // The wave's host phases are shared by its requests (a simulation
+  // artifact either way); the hardware phase is per clock domain.
+  for (size_t r = 0; r < requests.size(); ++r) {
+    const ScanRequest& req = requests[r];
+    if (req.rows == 0) continue;
+    double hw_seconds = 0;
+    for (int d = 0; d < num_devices; ++d) {
+      const ClockExtent& extent =
+          extents[r * static_cast<size_t>(num_devices) +
+                  static_cast<size_t>(d)];
+      if (!extent.any) continue;
+      hw_seconds = std::max(
+          hw_seconds,
+          SecondsFromPicos(extent.last_finish - extent.first_enqueue));
+    }
+    req.stats->hw_seconds = hw_seconds;
+    req.stats->hal_seconds = hal_seconds;
+    req.stats->sim_host_seconds = drain_seconds;
+  }
+  return Status::OK();
+}
+
+Status RegexpFpgaBatch(Hal* hal,
+                       const std::vector<FpgaBatchQuery*>& queries) {
+  Stopwatch udf_watch;
+  obs::Tracer& tracer = obs::Tracer::Global();
+  std::vector<obs::TraceId> traces;
+  traces.reserve(queries.size());
   // On any fatal (non-fallback) error, close the spans already opened so
   // the tracer's per-query bookkeeping stays balanced.
   auto fail = [&](Status st) {
-    for (QueryRun& run : runs) tracer.EndQuery(run.trace);
+    for (obs::TraceId trace : traces) tracer.EndQuery(trace);
     return st;
   };
 
-  // Phase 0: validate every query, open its span, allocate its result BAT.
+  // Validate every query, open its span, allocate its result BAT.
+  std::vector<ScanRequest> requests;
+  requests.reserve(queries.size());
   for (FpgaBatchQuery* q : queries) {
     if (q == nullptr || q->input == nullptr || q->config == nullptr) {
       return fail(Status::InvalidArgument("null batch query"));
     }
-    if (q->input->type() != ValueType::kString) {
+    const Bat& input = *q->input;
+    if (input.type() != ValueType::kString) {
       return fail(
           Status::InvalidArgument("regex job input must be a string BAT"));
     }
@@ -202,661 +429,116 @@ Status RegexpFpgaBatch(Hal* hal,
       return fail(
           Status::InvalidArgument("batch query streams out of range [1, 64]"));
     }
-    runs.emplace_back();
-    QueryRun& run = runs.back();
-    run.query = q;
-    run.trace = tracer.BeginQuery(q->span_name);
+    traces.push_back(tracer.BeginQuery(q->span_name));
     // Normalize the admission snapshot: -1 (or an over-count) means "all
-    // rows as of now". From here on the executor reads q->rows only, so a
-    // concurrent append cannot change the scanned extent mid-wave.
-    if (q->rows < 0 || q->rows > q->input->count()) {
-      q->rows = q->input->count();
-    }
-    if (q->first_row < 0) q->first_row = 0;
-    if (q->first_row > q->rows) q->first_row = q->rows;
+    // rows as of now". From here on only q->rows is read, so a concurrent
+    // append cannot change the scanned extent mid-wave.
+    if (q->rows < 0 || q->rows > input.count()) q->rows = input.count();
+    q->first_row = std::clamp<int64_t>(q->first_row, 0, q->rows);
     const int64_t span = q->rows - q->first_row;
-    HudfResult& out = q->out;
-    out.stats.trace_id = run.trace;
+    QueryStats& stats = q->out.stats;
+    stats.trace_id = traces.back();
     // Partitioning is internal to the operator; a set-compiled config
     // surfaces as its own strategy so demuxed streams are attributable.
-    out.stats.strategy = q->streams > 1 ? "fpga-set" : "fpga";
-    out.stats.rows_scanned = span;
+    stats.strategy = q->streams > 1 ? "fpga-set" : "fpga";
+    stats.rows_scanned = span;
 
     // streams > 1: the result BAT is the row-major staging area for every
     // stream; DemuxSetOutputs splits it per member after the wave.
     auto result =
         Bat::New(ValueType::kInt16, span * q->streams, hal->bat_allocator());
     if (!result.ok()) return fail(result.status());
-    out.result = std::move(*result);
-    Status st = out.result->AppendZeros(span * q->streams);
+    q->out.result = std::move(*result);
+    Status st = q->out.result->AppendZeros(span * q->streams);
     if (!st.ok()) return fail(st);
+
+    ScanRequest& req = requests.emplace_back();
+    req.offsets = input.tail_data() + q->first_row * input.offset_width();
+    req.offset_width = static_cast<int32_t>(input.offset_width());
+    req.heap = input.heap()->data();
+    req.heap_bytes =
+        q->rows < input.count()
+            ? static_cast<int64_t>(reinterpret_cast<const uint32_t*>(
+                  input.tail_data())[q->rows])
+            : input.heap()->size_bytes();
+    req.rows = span;
+    req.result = q->out.result->mutable_tail_data();
+    req.config = q->config;
+    req.streams = q->streams;
+    req.partitions = q->partitions;
+    req.timing_only = q->timing_only;
+    req.trace = traces.back();
+    req.stats = &stats;
   }
 
-  // Phase 1: slice and submit every query before any is waited on, so all
-  // queries of the wave overlap in virtual time across the engines.
-  for (QueryRun& run : runs) {
-    FpgaBatchQuery& q = *run.query;
-    const Bat& input = *q.input;
-    const int64_t base = q.first_row;  // admission snapshot (Phase 0)
-    const int64_t limit = q.rows;
-    const int64_t span = limit - base;
-    if (span == 0) continue;  // degenerate: no rows, no slices
+  Status st = ExecuteScans(hal, requests);
+  if (!st.ok()) return fail(st);
 
-    int partitions = q.partitions;
-    if (partitions <= 0) partitions = num_engines;
-    partitions = static_cast<int>(
-        std::min<int64_t>(partitions, std::max<int64_t>(span, 1)));
-
-    Stopwatch hal_watch;
-    const int64_t chunk = (span + partitions - 1) / partitions;
-    const uint32_t* all_offsets =
-        reinterpret_cast<const uint32_t*>(input.tail_data());
-    for (int p = 0; p < partitions; ++p) {
-      const int64_t first = base + p * chunk;
-      if (first >= limit) break;
-      const int64_t rows = std::min<int64_t>(chunk, limit - first);
-      if (rows <= 0) continue;
-      run.slices.emplace_back();
-      Slice& slice = run.slices.back();
-      JobParams& params = slice.params;
-      params.offsets = input.tail_data() + first * input.offset_width();
-      params.heap = input.heap()->data();
-      params.result =
-          q.out.result->mutable_tail_data() + (first - base) * 2 * q.streams;
-      params.count = rows;
-      params.streams = q.streams;
-      params.offset_width = static_cast<int32_t>(input.offset_width());
-      // Heap extent of this slice: up to the next slice's first string
-      // (the heap is written in row order), or the heap end for the last
-      // slice.
-      params.heap_bytes =
-          first + rows < input.count()
-              ? static_cast<int64_t>(all_offsets[first + rows])
-              : input.heap()->size_bytes();
-      params.config = q.config->vector.bytes();
-      params.timing_only = q.timing_only;
-      Result<FpgaJob> job =
-          SubmitJobWithRetry(hal->device(), params, policy, &slice.outcome);
-      if (job.ok()) {
-        slice.job = *job;
-      } else if (IsFallbackEligible(job.status())) {
-        slice.fallback = true;
-      } else {
-        return fail(job.status());
-      }
-    }
-    q.out.stats.hal_seconds = hal_watch.ElapsedSeconds();
-  }
-
-  // Phase 2: await each query's slices in submission order, degrade the
-  // slices the device could not complete, finalize per-query stats.
-  for (QueryRun& run : runs) {
-    FpgaBatchQuery& q = *run.query;
-    HudfResult& out = q.out;
-
-    if (q.rows - q.first_row == 0) {
-      Status st = DemuxSetOutputs(hal, q);
-      if (!st.ok()) return fail(st);
-      out.stats.udf_software_seconds = run.udf_watch.ElapsedSeconds();
-      tracer.EndQuery(run.trace);
-      continue;
-    }
-
-    Stopwatch wait_watch;
-    SimTime first_enqueue = std::numeric_limits<SimTime>::max();
-    SimTime last_finish = 0;
-    bool any_hw = false;
-    for (Slice& slice : run.slices) {
-      if (!slice.fallback) {
-        Status st = AwaitJobWithRecovery(hal->device(), &slice.job,
-                                         slice.params, policy,
-                                         &slice.outcome);
-        if (st.ok()) {
-          const JobStatus& status = slice.job.status();
-          any_hw = true;
-          if (run.trace != obs::kInvalidTraceId) {
-            tracer.RecordJob(MakeJobRecord(run.trace, status));
-          }
-          first_enqueue = std::min(first_enqueue, status.enqueue_time);
-          last_finish = std::max(last_finish, status.finish_time);
-          out.stats.rows_matched += status.matches;
-          if (out.stats.pu_kernel.empty()) {
-            out.stats.pu_kernel = status.pu_kernel;
-          }
-          out.stats.functional_bytes += status.functional_bytes;
-          out.stats.functional_seconds += status.functional_host_seconds;
-        } else if (IsFallbackEligible(st)) {
-          slice.fallback = true;
-        } else {
-          return fail(st);
-        }
-      }
-      out.stats.job_retries += slice.outcome.retries;
-      if (slice.outcome.ok && slice.outcome.fault_seen) {
-        out.stats.faults_recovered += 1;
-      }
-    }
-    // Slices the device could not complete degrade to the software
-    // matchers (the query must not fail for a fault the CPU can absorb).
-    for (Slice& slice : run.slices) {
-      if (!slice.fallback) continue;
-      if (run.trace != obs::kInvalidTraceId) {
-        tracer.RecordInstant(run.trace, "sw_fallback",
-                             hal->device()->now());
-      }
-      auto matches = RunHostSlice(hal->device_config(), slice.params);
-      if (!matches.ok()) return fail(matches.status());
-      out.stats.rows_matched += *matches;
-      out.stats.fallback_rows += slice.params.count;
-      FallbackRowsCounter().Add(slice.params.count);
-    }
-    if (out.stats.fallback_rows > 0) {
-      out.stats.strategy =
-          q.streams > 1 ? "fpga-set+sw_fallback" : "fpga+sw_fallback";
-    }
-    out.stats.sim_host_seconds = wait_watch.ElapsedSeconds();
-    out.stats.hw_seconds =
-        any_hw ? SecondsFromPicos(last_finish - first_enqueue) : 0;
-    out.stats.udf_software_seconds =
-        std::max(0.0, run.udf_watch.ElapsedSeconds() -
-                          out.stats.hal_seconds -
-                          out.stats.sim_host_seconds);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    FpgaBatchQuery& q = *queries[i];
+    QueryStats& stats = q.out.stats;
+    if (stats.fallback_rows > 0) stats.strategy += "+sw_fallback";
+    stats.udf_software_seconds =
+        std::max(0.0, udf_watch.ElapsedSeconds() - stats.hal_seconds -
+                          stats.sim_host_seconds);
     Status demux = DemuxSetOutputs(hal, q);
-    if (!demux.ok()) return fail(demux);
-    tracer.EndQuery(run.trace);
+    if (st.ok()) st = demux;
+    tracer.EndQuery(traces[i]);
   }
-  return Status::OK();
+  return st;
 }
 
 namespace {
 
-/// One slice of a pooled batch: a Slice plus its placement state.
-struct PoolSlice {
-  JobParams params;
-  FpgaJob job;
-  JobOutcome outcome;
-  bool fallback = false;
-  bool resolved = false;
-  int device = -1;    // pool member currently owning this slice
-  int query = -1;     // index into the runs vector
-};
-
-/// Per-(query, device) virtual-time extent. Device clocks are independent
-/// domains, so a query's hardware phase is the MAX of its per-device
-/// extents, never a difference of stamps from two different clocks.
-struct ClockExtent {
-  SimTime first_enqueue = std::numeric_limits<SimTime>::max();
-  SimTime last_finish = 0;
-  bool any = false;
-};
-
-}  // namespace
-
-Status RegexpFpgaBatchPooled(Hal* hal,
-                             const std::vector<FpgaBatchQuery*>& queries) {
-  DevicePool* pool = hal->pool();
-  // A pool of one IS the paper's single-device deployment: take the exact
-  // historical path so results, stats and virtual timing stay bit- and
-  // byte-identical (the N=1 invariant device_pool_test pins).
-  if (pool->size() == 1) return RegexpFpgaBatch(hal, queries);
-
-  obs::Tracer& tracer = obs::Tracer::Global();
-  const RetryPolicy& policy = hal->retry_policy();
-  const int num_devices = pool->size();
-
-  std::vector<QueryRun> runs;
-  runs.reserve(queries.size());
-  auto fail = [&](Status st) {
-    for (QueryRun& run : runs) tracer.EndQuery(run.trace);
-    return st;
-  };
-
-  // Phase 0: validate every query, open its span, allocate its result BAT
-  // (identical to the single-device batch).
-  for (FpgaBatchQuery* q : queries) {
-    if (q == nullptr || q->input == nullptr || q->config == nullptr) {
-      return fail(Status::InvalidArgument("null batch query"));
-    }
-    if (q->input->type() != ValueType::kString) {
-      return fail(
-          Status::InvalidArgument("regex job input must be a string BAT"));
-    }
-    if (q->streams < 1 || q->streams > 64) {
-      return fail(
-          Status::InvalidArgument("batch query streams out of range [1, 64]"));
-    }
-    runs.emplace_back();
-    QueryRun& run = runs.back();
-    run.query = q;
-    run.trace = tracer.BeginQuery(q->span_name);
-    if (q->rows < 0 || q->rows > q->input->count()) {
-      q->rows = q->input->count();
-    }
-    if (q->first_row < 0) q->first_row = 0;
-    if (q->first_row > q->rows) q->first_row = q->rows;
-    const int64_t span = q->rows - q->first_row;
-    HudfResult& out = q->out;
-    out.stats.trace_id = run.trace;
-    out.stats.strategy = q->streams > 1 ? "fpga-set" : "fpga";
-    out.stats.rows_scanned = span;
-    auto result =
-        Bat::New(ValueType::kInt16, span * q->streams, hal->bat_allocator());
-    if (!result.ok()) return fail(result.status());
-    out.result = std::move(*result);
-    Status st = out.result->AppendZeros(span * q->streams);
-    if (!st.ok()) return fail(st);
-  }
-
-  // Phase 1: slice every query. The default partition count spans the
-  // whole pool (one slice per engine across every member) so a query can
-  // use all devices at once. Nothing is submitted yet — placement decides
-  // where each slice goes.
-  std::vector<PoolSlice> slices;
-  for (size_t qi = 0; qi < runs.size(); ++qi) {
-    QueryRun& run = runs[qi];
-    FpgaBatchQuery& q = *run.query;
-    const Bat& input = *q.input;
-    const int64_t base = q.first_row;  // admission snapshot (Phase 0)
-    const int64_t limit = q.rows;
-    const int64_t span = limit - base;
-    if (span == 0) continue;
-
-    int partitions = q.partitions;
-    if (partitions <= 0) partitions = pool->total_engines();
-    partitions = static_cast<int>(
-        std::min<int64_t>(partitions, std::max<int64_t>(span, 1)));
-
-    Stopwatch hal_watch;
-    const int64_t chunk = (span + partitions - 1) / partitions;
-    const uint32_t* all_offsets =
-        reinterpret_cast<const uint32_t*>(input.tail_data());
-    for (int p = 0; p < partitions; ++p) {
-      const int64_t first = base + p * chunk;
-      if (first >= limit) break;
-      const int64_t rows = std::min<int64_t>(chunk, limit - first);
-      if (rows <= 0) continue;
-      slices.emplace_back();
-      PoolSlice& slice = slices.back();
-      slice.query = static_cast<int>(qi);
-      JobParams& params = slice.params;
-      params.offsets = input.tail_data() + first * input.offset_width();
-      params.heap = input.heap()->data();
-      params.result =
-          q.out.result->mutable_tail_data() + (first - base) * 2 * q.streams;
-      params.count = rows;
-      params.streams = q.streams;
-      params.offset_width = static_cast<int32_t>(input.offset_width());
-      params.heap_bytes =
-          first + rows < input.count()
-              ? static_cast<int64_t>(all_offsets[first + rows])
-              : input.heap()->size_bytes();
-      params.config = q.config->vector.bytes();
-      params.timing_only = q.timing_only;
-    }
-    // Slicing cost is the pooled path's HAL phase; submission cost is
-    // folded into the drain below (it interleaves queries).
-    q.out.stats.hal_seconds = hal_watch.ElapsedSeconds();
-  }
-
-  // Placement: apportion the wave across the pool proportional to each
-  // member's free engines (largest-remainder, deterministic), then deal
-  // slices to their device round-robin so every device sees a mix of
-  // queries rather than one query's whole tail.
-  std::vector<std::deque<PoolSlice*>> pending(
-      static_cast<size_t>(num_devices));
-  {
-    std::vector<int> quota = pool->ShardCounts(static_cast<int>(slices.size()));
-    int d = 0;
-    for (PoolSlice& slice : slices) {
-      while (quota[static_cast<size_t>(d)] == 0) d = (d + 1) % num_devices;
-      pending[static_cast<size_t>(d)].push_back(&slice);
-      --quota[static_cast<size_t>(d)];
-      d = (d + 1) % num_devices;
-    }
-  }
-
-  int64_t remaining = static_cast<int64_t>(slices.size());
-  std::vector<std::deque<PoolSlice*>> inflight(
-      static_cast<size_t>(num_devices));
-  // Per-(query, device) clock extents for the hardware phase.
-  std::vector<std::vector<ClockExtent>> extents(
-      runs.size(),
-      std::vector<ClockExtent>(static_cast<size_t>(num_devices)));
-
-  Status fatal = Status::OK();
-  // A device whose last resolution degraded to software is *suspect*: it
-  // keeps draining work already queued to it but does not steal more
-  // until it completes a slice in hardware again. Keeps a stalled member
-  // from stealing back the backlog that was just rebalanced away from it.
-  std::vector<char> suspect(static_cast<size_t>(num_devices), 0);
-  // Submit `slice` on device `d`. A submit that degrades resolves the
-  // slice immediately (it runs in software after the drain).
-  auto submit_one = [&](PoolSlice* slice, int d) {
-    slice->device = d;
-    Result<FpgaJob> job = SubmitJobWithRetry(pool->device(d), slice->params,
-                                             policy, &slice->outcome);
-    if (job.ok()) {
-      slice->job = *job;
-      inflight[static_cast<size_t>(d)].push_back(slice);
-      pool->NoteInflight(d, +1);
-      return true;
-    }
-    if (IsFallbackEligible(job.status())) {
-      slice->fallback = true;
-      slice->resolved = true;
-      suspect[static_cast<size_t>(d)] = 1;
-      --remaining;
-      return true;
-    }
-    fatal = job.status();
-    return false;
-  };
-  // Keep device `d` loaded up to its engine count. A device whose own
-  // backlog ran dry steals queued slices from the most backlogged member
-  // (ties to the lowest index) — this is what drains a healthy pool
-  // around a fault-stalled device.
-  auto top_up = [&](int d) {
-    const int cap = pool->device(d)->config().num_engines;
-    while (static_cast<int>(inflight[static_cast<size_t>(d)].size()) < cap) {
-      if (pending[static_cast<size_t>(d)].empty()) {
-        if (suspect[static_cast<size_t>(d)]) return true;  // no stealing
-        int victim = -1;
-        size_t victim_backlog = 0;
-        for (int v = 0; v < num_devices; ++v) {
-          if (v == d) continue;
-          const size_t backlog = pending[static_cast<size_t>(v)].size();
-          if (backlog > victim_backlog) {
-            victim = v;
-            victim_backlog = backlog;
-          }
-        }
-        if (victim < 0) return true;  // nothing left anywhere
-        // Steal from the BACK of the victim's queue: the victim keeps its
-        // next-up work, the thief takes the tail it would reach last.
-        PoolSlice* stolen = pending[static_cast<size_t>(victim)].back();
-        pending[static_cast<size_t>(victim)].pop_back();
-        pending[static_cast<size_t>(d)].push_back(stolen);
-        pool->NoteSteal(victim, d);
-      }
-      PoolSlice* slice = pending[static_cast<size_t>(d)].front();
-      pending[static_cast<size_t>(d)].pop_front();
-      if (!submit_one(slice, d)) return false;
-    }
-    return true;
-  };
-
-  // Drain: visit devices round-robin, await one in-flight slice per visit
-  // (a device's clock advances only while the host waits on it), then
-  // top the device back up. Deterministic: placement, visit order and
-  // steal choice depend only on queue sizes, never host timing.
-  Stopwatch wait_watch;
-  for (int d = 0; d < num_devices; ++d) {
-    if (!top_up(d)) return fail(fatal);
-  }
-  while (remaining > 0) {
-    bool progress = false;
-    for (int d = 0; d < num_devices && remaining > 0; ++d) {
-      if (inflight[static_cast<size_t>(d)].empty() && !top_up(d)) {
-        return fail(fatal);
-      }
-      if (inflight[static_cast<size_t>(d)].empty()) continue;
-      PoolSlice* slice = inflight[static_cast<size_t>(d)].front();
-      inflight[static_cast<size_t>(d)].pop_front();
-      pool->NoteInflight(d, -1);
-      QueryRun& run = runs[static_cast<size_t>(slice->query)];
-      HudfResult& out = run.query->out;
-      Status st = AwaitJobWithRecovery(pool->device(d), &slice->job,
-                                       slice->params, policy,
-                                       &slice->outcome);
-      if (st.ok()) {
-        const JobStatus& status = slice->job.status();
-        if (run.trace != obs::kInvalidTraceId) {
-          tracer.RecordJob(MakeJobRecord(run.trace, status));
-        }
-        ClockExtent& extent =
-            extents[static_cast<size_t>(slice->query)][static_cast<size_t>(d)];
-        extent.any = true;
-        extent.first_enqueue =
-            std::min(extent.first_enqueue, status.enqueue_time);
-        extent.last_finish = std::max(extent.last_finish, status.finish_time);
-        out.stats.rows_matched += status.matches;
-        if (out.stats.pu_kernel.empty()) {
-          out.stats.pu_kernel = status.pu_kernel;
-        }
-        out.stats.functional_bytes += status.functional_bytes;
-        out.stats.functional_seconds += status.functional_host_seconds;
-        suspect[static_cast<size_t>(d)] = 0;
-      } else if (IsFallbackEligible(st)) {
-        slice->fallback = true;
-        suspect[static_cast<size_t>(d)] = 1;
-        // Fault feedback: this device just burned its whole retry budget
-        // on a slice. Hand its queued backlog to the other members (each
-        // takes a share, round-robin) instead of feeding more work into a
-        // device that is demonstrably failing — this is what drains a
-        // pool around a stalled member.
-        if (num_devices > 1) {
-          int thief = (d + 1) % num_devices;
-          while (!pending[static_cast<size_t>(d)].empty()) {
-            PoolSlice* moved = pending[static_cast<size_t>(d)].front();
-            pending[static_cast<size_t>(d)].pop_front();
-            if (thief == d) thief = (thief + 1) % num_devices;
-            pending[static_cast<size_t>(thief)].push_back(moved);
-            pool->NoteSteal(d, thief);
-            thief = (thief + 1) % num_devices;
-          }
-        }
-      } else {
-        return fail(st);
-      }
-      slice->resolved = true;
-      --remaining;
-      progress = true;
-      pool->NoteSlice(d, slice->params.count);
-      if (!top_up(d)) return fail(fatal);
-    }
-    // Every device idle with slices unresolved would be a livelock; the
-    // loop structure above always resolves at least one slice per pass.
-    DOPPIO_CHECK(progress);
-  }
-  const double drain_seconds = wait_watch.ElapsedSeconds();
-
-  // Degrade the slices no device could complete, then finalize per-query
-  // stats. hw_seconds is the max per-clock-domain extent.
-  for (size_t qi = 0; qi < runs.size(); ++qi) {
-    QueryRun& run = runs[qi];
-    FpgaBatchQuery& q = *run.query;
-    HudfResult& out = q.out;
-    if (q.rows - q.first_row == 0) {
-      Status st = DemuxSetOutputs(hal, q);
-      if (!st.ok()) return fail(st);
-      out.stats.udf_software_seconds = run.udf_watch.ElapsedSeconds();
-      tracer.EndQuery(run.trace);
-      continue;
-    }
-    for (PoolSlice& slice : slices) {
-      if (slice.query != static_cast<int>(qi)) continue;
-      if (slice.fallback) {
-        if (run.trace != obs::kInvalidTraceId) {
-          tracer.RecordInstant(run.trace, "sw_fallback",
-                               pool->device(slice.device)->now());
-        }
-        auto matches = RunHostSlice(hal->device_config(), slice.params);
-        if (!matches.ok()) return fail(matches.status());
-        out.stats.rows_matched += *matches;
-        out.stats.fallback_rows += slice.params.count;
-        FallbackRowsCounter().Add(slice.params.count);
-      }
-      out.stats.job_retries += slice.outcome.retries;
-      if (slice.outcome.ok && slice.outcome.fault_seen) {
-        out.stats.faults_recovered += 1;
-      }
-    }
-    if (out.stats.fallback_rows > 0) {
-      out.stats.strategy =
-          q.streams > 1 ? "fpga-set+sw_fallback" : "fpga+sw_fallback";
-    }
-    double hw_seconds = 0;
-    for (const ClockExtent& extent : extents[qi]) {
-      if (!extent.any) continue;
-      hw_seconds = std::max(
-          hw_seconds,
-          SecondsFromPicos(extent.last_finish - extent.first_enqueue));
-    }
-    out.stats.hw_seconds = hw_seconds;
-    // The drain interleaves every query; its host cost is attributed to
-    // each (it is a simulation artifact either way).
-    out.stats.sim_host_seconds = drain_seconds;
-    out.stats.udf_software_seconds =
-        std::max(0.0, run.udf_watch.ElapsedSeconds() -
-                          out.stats.hal_seconds -
-                          out.stats.sim_host_seconds);
-    Status demux = DemuxSetOutputs(hal, q);
-    if (!demux.ok()) return fail(demux);
-    tracer.EndQuery(run.trace);
-  }
-  return Status::OK();
-}
-
-Result<HudfResult> RegexpFpgaPartitionedPooled(Hal* hal, const Bat& input,
-                                               const RegexConfig& config,
-                                               int partitions) {
+Result<HudfResult> RunSingle(Hal* hal, const Bat& input,
+                             const RegexConfig& config, int partitions,
+                             const char* span_name) {
   FpgaBatchQuery query;
   query.input = &input;
   query.config = &config;
   query.partitions = partitions;
-  query.span_name = "regexp_fpga_pooled";
-  std::vector<FpgaBatchQuery*> batch{&query};
-  DOPPIO_RETURN_NOT_OK(RegexpFpgaBatchPooled(hal, batch));
+  query.span_name = span_name;
+  DOPPIO_RETURN_NOT_OK(RegexpFpgaBatch(hal, {&query}));
   return std::move(query.out);
 }
+
+Result<HudfResult> CompileAndRunSingle(Hal* hal, const Bat& input,
+                                       std::string_view pattern,
+                                       const CompileOptions& options,
+                                       int partitions, const char* span_name) {
+  DOPPIO_ASSIGN_OR_RETURN(RegexConfig config,
+                          hal->CompileConfig(pattern, options));
+  DOPPIO_ASSIGN_OR_RETURN(
+      HudfResult out, RunSingle(hal, input, config, partitions, span_name));
+  out.stats.config_gen_seconds = config.compile_seconds;
+  return out;
+}
+
+}  // namespace
 
 Result<HudfResult> RegexpFpgaPartitioned(Hal* hal, const Bat& input,
                                          const RegexConfig& config,
                                          int partitions) {
-  // A batch of one: identical slicing, submission order and virtual-time
-  // behaviour to the historical single-query partitioned path.
-  FpgaBatchQuery query;
-  query.input = &input;
-  query.config = &config;
-  query.partitions = partitions;
-  query.span_name = "regexp_fpga_partitioned";
-  std::vector<FpgaBatchQuery*> batch{&query};
-  DOPPIO_RETURN_NOT_OK(RegexpFpgaBatch(hal, batch));
-  return std::move(query.out);
+  return RunSingle(hal, input, config, partitions, "regexp_fpga_partitioned");
 }
 
 Result<HudfResult> RegexpFpgaPartitioned(Hal* hal, const Bat& input,
                                          std::string_view pattern,
                                          const CompileOptions& options,
                                          int partitions) {
-  Stopwatch config_watch;
-  DOPPIO_ASSIGN_OR_RETURN(RegexConfig config,
-                          hal->CompileConfig(pattern, options));
-  DOPPIO_ASSIGN_OR_RETURN(
-      HudfResult out, RegexpFpgaPartitioned(hal, input, config, partitions));
-  out.stats.config_gen_seconds = config.compile_seconds;
-  return out;
+  return CompileAndRunSingle(hal, input, pattern, options, partitions,
+                             "regexp_fpga_partitioned");
 }
 
 Result<HudfResult> RegexpFpga(Hal* hal, const Bat& input,
                               std::string_view pattern,
                               const CompileOptions& options) {
-  Stopwatch config_watch;
-  DOPPIO_ASSIGN_OR_RETURN(RegexConfig config,
-                          hal->CompileConfig(pattern, options));
-  DOPPIO_ASSIGN_OR_RETURN(HudfResult out, RegexpFpga(hal, input, config));
-  out.stats.config_gen_seconds = config.compile_seconds;
-  out.stats.udf_software_seconds -= config.compile_seconds;
-  if (out.stats.udf_software_seconds < 0) out.stats.udf_software_seconds = 0;
-  return out;
+  return CompileAndRunSingle(hal, input, pattern, options, 1, "regexp_fpga");
 }
 
 Result<HudfResult> RegexpFpga(Hal* hal, const Bat& input,
                               const RegexConfig& config) {
-  Stopwatch udf_watch;
-  obs::Tracer& tracer = obs::Tracer::Global();
-  const obs::TraceId trace = tracer.BeginQuery("regexp_fpga");
-  HudfResult out;
-  out.stats.trace_id = trace;
-  out.stats.strategy = "fpga";
-  out.stats.rows_scanned = input.count();
-
-  // Allocate the result BAT (BATnew(TYPE_void, TYPE_short, count)).
-  DOPPIO_ASSIGN_OR_RETURN(
-      out.result,
-      Bat::New(ValueType::kInt16, input.count(), hal->bat_allocator()));
-  DOPPIO_RETURN_NOT_OK(out.result->AppendZeros(input.count()));
-
-  if (input.count() == 0) {
-    out.stats.udf_software_seconds = udf_watch.ElapsedSeconds();
-    tracer.EndQuery(trace);
-    return out;
-  }
-
-  const RetryPolicy& policy = hal->retry_policy();
-
-  // Create the FPGA job through the HAL and busy-wait on the done bit,
-  // under the bounded-retry lifecycle.
-  Stopwatch hal_watch;
-  DOPPIO_ASSIGN_OR_RETURN(
-      JobParams params,
-      hal->BuildRegexJobParams(input, out.result.get(), config));
-  JobOutcome outcome;
-  Result<FpgaJob> job =
-      SubmitJobWithRetry(hal->device(), params, policy, &outcome);
-  out.stats.hal_seconds = hal_watch.ElapsedSeconds();
-
-  // The busy-wait advances the simulator's virtual clock; the host time it
-  // burns doing so is a simulation artifact and is excluded from the
-  // software phases. The hardware phase is virtual time.
-  Stopwatch wait_watch;
-  bool fallback = false;
-  if (job.ok()) {
-    FpgaJob handle = *job;
-    Status wait_status = AwaitJobWithRecovery(hal->device(), &handle, params,
-                                              policy, &outcome);
-    if (wait_status.ok()) {
-      if (trace != obs::kInvalidTraceId) {
-        tracer.RecordJob(MakeJobRecord(trace, handle.status()));
-      }
-      out.stats.hw_seconds = handle.HwSeconds();  // virtual (simulated) time
-      out.stats.rows_matched = handle.status().matches;
-      out.stats.pu_kernel = handle.status().pu_kernel;
-      out.stats.functional_bytes = handle.status().functional_bytes;
-      out.stats.functional_seconds = handle.status().functional_host_seconds;
-    } else if (IsFallbackEligible(wait_status)) {
-      fallback = true;
-    } else {
-      return wait_status;
-    }
-  } else if (IsFallbackEligible(job.status())) {
-    fallback = true;
-  } else {
-    return job.status();
-  }
-
-  if (fallback) {
-    if (trace != obs::kInvalidTraceId) {
-      tracer.RecordInstant(trace, "sw_fallback", hal->device()->now());
-    }
-    DOPPIO_ASSIGN_OR_RETURN(int64_t matches,
-                            RunHostSlice(hal->device_config(), params));
-    out.stats.rows_matched = matches;
-    out.stats.fallback_rows = params.count;
-    out.stats.strategy = "fpga+sw_fallback";
-    FallbackRowsCounter().Add(params.count);
-  }
-  out.stats.job_retries = outcome.retries;
-  if (outcome.ok && outcome.fault_seen) out.stats.faults_recovered = 1;
-
-  const double wait_host_seconds = wait_watch.ElapsedSeconds();
-  out.stats.sim_host_seconds = wait_host_seconds;
-  out.stats.udf_software_seconds = udf_watch.ElapsedSeconds() -
-                                   out.stats.hal_seconds -
-                                   wait_host_seconds;
-  if (out.stats.udf_software_seconds < 0) out.stats.udf_software_seconds = 0;
-  tracer.EndQuery(trace);
-  return out;
+  return RunSingle(hal, input, config, 1, "regexp_fpga");
 }
 
 }  // namespace doppio

@@ -5,6 +5,11 @@
 // through the HAL, busy-wait on the done bit, hand the result BAT back.
 // The returned column is of type short: nonzero = 1-based position of the
 // match's last character, zero = no match.
+//
+// Every device scan — the HUDF, the partitioned and batched variants and
+// the streamed segment windows (store/stream_executor.h) — runs through
+// one slice executor, ExecuteScans: slice, place across the DevicePool,
+// submit, await, steal, and degrade per slice to the host matchers.
 #pragma once
 
 #include <memory>
@@ -30,9 +35,9 @@ struct HudfResult {
 /// dialect (LIKE patterns are translated before reaching this layer).
 /// Fails with CapacityExceeded when the pattern does not fit the deployed
 /// geometry — callers fall back to hybrid or software execution.
-/// Deliberately pinned to pool device 0: this is the paper's single-job
-/// fast path; multi-device spreading happens in the partitioned/batched
-/// executors below.
+/// One job over the whole BAT (a batch of one with a single partition):
+/// the paper's single-job path, placed on the pool member with the most
+/// free engines — device 0 on an idle pool.
 Result<HudfResult> RegexpFpga(Hal* hal, const Bat& input,
                               std::string_view pattern,
                               const CompileOptions& options = {});
@@ -46,7 +51,7 @@ Result<HudfResult> RegexpFpga(Hal* hal, const Bat& input,
 /// parallelizes by horizontally partitioning the data to the four Regex
 /// Engines"): the BAT is split into `partitions` slices, one job per
 /// engine, all sharing the string heap; results land in disjoint slices
-/// of one result BAT. 0 = one partition per deployed engine.
+/// of one result BAT. 0 = one partition per engine across the pool.
 Result<HudfResult> RegexpFpgaPartitioned(Hal* hal, const Bat& input,
                                          const RegexConfig& config,
                                          int partitions = 0);
@@ -76,14 +81,14 @@ struct FpgaBatchQuery {
   /// `input` (-1 = whatever `input->count()` is at execution time). The
   /// scheduler pins this at Submit so an append landing between admission
   /// and wave execution cannot leak post-snapshot rows into the result.
-  /// Normalized to min(rows, input->count()) during Phase-0 validation.
+  /// Normalized to min(rows, input->count()) during validation.
   int64_t rows = -1;
   /// First row to scan (partial-extent execution): the device scans rows
   /// [first_row, rows) and `out.result` holds exactly that span. 0 = the
   /// classic full scan, byte-identical to before this field existed. The
   /// scheduler sets it when a cached prefix block already answers
   /// [0, first_row) so only a grown column's appended tail is re-scanned.
-  /// Clamped to [0, rows] during Phase-0 validation.
+  /// Clamped to [0, rows] during validation.
   int64_t first_row = 0;
   /// Output streams of `config` (1..64). 1 = the classic single-pattern
   /// scan, byte-identical to before streams existed. > 1 = `config` is a
@@ -99,36 +104,53 @@ struct FpgaBatchQuery {
   std::vector<HudfResult> set_outputs;
 };
 
-/// Shared partitioned submission across queries: every slice of every
-/// query is submitted before any is waited on, so the queries overlap
-/// across the engines in virtual time (the paper's Fig. 11 multi-client
-/// scenario, but coalesced into one wave instead of raced). Each query
-/// degrades per-slice to the software matchers exactly like the
-/// single-query path; a batch of one is behaviour- and timing-identical
-/// to RegexpFpgaPartitioned. Targets device 0 only — the paper's
-/// single-device path.
+/// Shared partitioned submission across queries, the only batch entry
+/// point: every query is validated, its admission snapshot normalized and
+/// its result BAT allocated, then all of them run as one ExecuteScans
+/// wave, so the queries overlap across the engines in virtual time (the
+/// paper's Fig. 11 multi-client scenario, coalesced into one wave instead
+/// of raced). Each query degrades per slice to the software matchers; a
+/// batch of one is RegexpFpgaPartitioned.
 Status RegexpFpgaBatch(Hal* hal, const std::vector<FpgaBatchQuery*>& queries);
 
-/// Device-aware variant over the HAL's whole DevicePool. With a pool of
-/// one this IS RegexpFpgaBatch (same code path, bit- and byte-identical
-/// results, stats and virtual timing). With N devices it shards every
-/// query's slices across the pool proportional to each device's free
-/// engines, caps in-flight slices per device at its engine count so a
-/// backlog stays stealable, and lets a device that runs dry steal queued
-/// slices from the most backlogged member — so one fault-stalled device
-/// degrades its own in-flight slices to software while the healthy
-/// devices absorb its backlog. Per-query `hw_seconds` is the maximum
-/// per-clock-domain extent (device clocks are independent; cross-device
-/// time differences are meaningless). Placement, stealing and results
-/// are fully deterministic for a given pool state.
-Status RegexpFpgaBatchPooled(Hal* hal,
-                             const std::vector<FpgaBatchQuery*>& queries);
+/// One scan for ExecuteScans: a raw view of a string column in the shared
+/// arena (BAT layout: heap-relative offsets plus the heap it indexes) and
+/// the result range its 16-bit match values land in.
+struct ScanRequest {
+  const uint8_t* offsets = nullptr;  // the view's first offset entry
+  int32_t offset_width = sizeof(uint32_t);
+  const uint8_t* heap = nullptr;
+  /// Heap extent of the view: the offset of the row after its last one,
+  /// or the heap end when the view reaches the column's end.
+  int64_t heap_bytes = 0;
+  int64_t rows = 0;
+  uint8_t* result = nullptr;  // rows x streams int16 values, row-major
+  const RegexConfig* config = nullptr;
+  int streams = 1;     // output streams of `config` (1..64)
+  int partitions = 0;  // slices; 0 = one per engine across the pool
+  bool timing_only = false;  // see JobParams::timing_only
+  uint64_t trace = 0;        // tracer span for job records and instants
+  /// Receives the scan's rows_matched, pu_kernel, functional bytes and
+  /// seconds, job_retries, faults_recovered and fallback_rows (added
+  /// to), and hw_seconds, hal_seconds and sim_host_seconds (assigned;
+  /// left alone for a zero-row view). Must not be null.
+  QueryStats* stats = nullptr;
+};
 
-/// Single-query convenience over the pooled path. `partitions` 0 = one
-/// slice per engine across the whole pool.
-Result<HudfResult> RegexpFpgaPartitionedPooled(Hal* hal, const Bat& input,
-                                               const RegexConfig& config,
-                                               int partitions = 0);
+/// The slice executor behind every device scan. Slices each request
+/// horizontally (per-slice heap extents), places the slices across the
+/// HAL's DevicePool with ShardCounts, submits with retry and awaits with
+/// recovery. On a pool of more than one device, in-flight slices are
+/// capped per device at its engine count so a backlog stays stealable: a
+/// device that runs dry steals queued slices from the most backlogged
+/// member, and a device that gives up on a slice hands its backlog to the
+/// others. With one device every slice is submitted before the first
+/// await. Slices the device could not complete re-run on the host
+/// (doppio.db.fallback_rows, "sw_fallback" trace instant). hw_seconds is
+/// the maximum per-clock-domain extent of the request's jobs. Placement,
+/// stealing and results are deterministic for a given pool state. Fails
+/// only on errors the host cannot absorb; spans are the caller's.
+Status ExecuteScans(Hal* hal, const std::vector<ScanRequest>& requests);
 
 /// Full-pattern software scan over a string BAT on the lazy-DFA matcher:
 /// the hybrid planner's software strategy and the scheduler's CPU route

@@ -7,18 +7,19 @@
 // CPU-FPGA region: one physical memory, N coherent links into it) and the
 // host thread pool that accelerates the functional pass. Nothing about a
 // single FpgaDevice changes: a pool of one wraps exactly the device the
-// paper models, and every direct-submit code path keeps addressing it as
-// device 0.
+// paper models, and the HAL's single-device handle (Hal::device())
+// addresses it as device 0.
 //
-// The pool adds the topology-level services sharded execution needs:
+// The pool adds the topology-level services the slice executor
+// (ExecuteScans, db/hudf.h) needs to shard every device scan:
 //
 //  * placement — ShardCounts() splits a partitioned submission's slices
 //    across devices proportional to each device's currently free engines
 //    (largest-remainder apportionment, lowest-index tiebreak: fully
 //    deterministic for a given pool state);
-//  * occupancy — callers account in-flight slices per device through
-//    NoteInflight(), which free_engines() subtracts, so concurrent waves
-//    see each other's load;
+//  * occupancy — the executor accounts in-flight slices per device
+//    through NoteInflight(), which free_engines() subtracts, so concurrent
+//    waves see each other's load;
 //  * observability — per-device doppio.hw.device.<i>.* counters (slices,
 //    rows, jobs stolen in/out) and an inflight gauge, registered once at
 //    pool construction.
@@ -27,8 +28,9 @@
 // while a host thread waits on device i. There is no pool-wide total
 // order of events across devices — cross-device time comparisons are
 // meaningless, and per-query timing must be computed per clock domain and
-// then reduced (see RegexpFpgaBatchPooled). MaxNow() exists only as a
-// monotone pool-wide progress marker for throughput accounting.
+// then reduced (ExecuteScans takes the maximum per-device extent). MaxNow()
+// exists only as a monotone pool-wide progress marker for throughput
+// accounting.
 #pragma once
 
 #include <atomic>
@@ -88,8 +90,8 @@ class DevicePool {
     return devices_[static_cast<size_t>(i)]->device.get();
   }
 
-  /// Engines across the whole pool — the natural default partition count
-  /// for a pooled submission (one slice per engine, paper §7.5 scaled out).
+  /// Engines across the whole pool — the default partition count of a
+  /// device scan (one slice per engine, paper §7.5 scaled out).
   int total_engines() const { return total_engines_; }
 
   /// Engines on device i not currently claimed by an in-flight slice
@@ -97,7 +99,7 @@ class DevicePool {
   /// the whole pool is busy — ShardCounts falls back to equal weights.
   int free_engines(int i) const;
 
-  /// In-flight slice accounting, kept by the pooled executors. Mirrored
+  /// In-flight slice accounting, kept by the slice executor. Mirrored
   /// into the doppio.hw.device.<i>.in_flight gauge.
   void NoteInflight(int i, int delta);
 

@@ -747,9 +747,10 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
       }
       pointers.push_back(&queries[i]);
     }
-    // Device-aware entry: shards the wave across the pool and steals work
-    // from stalled members; a pool of one takes the exact historical path.
-    Status status = RegexpFpgaBatchPooled(hal_, pointers);
+    // One wave of the slice executor: shards the slices across the pool and
+    // steals work from stalled members; a pool of one submits every slice
+    // before the first await (the order the fig11 goldens pin).
+    Status status = RegexpFpgaBatch(hal_, pointers);
     int set_slots = 0;
     int64_t set_queries = 0;
     for (size_t i = 0; i < slots.size(); ++i) {

@@ -81,21 +81,26 @@ Pager::Pager(SharedArena* arena, PagerOptions options)
 }
 
 Pager::~Pager() {
-  DropClean();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     // Pinned residents at destruction are a caller bug; free anyway so the
     // arena does not leak pages in tests that tear down mid-error.
-    for (Segment* seg : residents_) {
-      (void)arena_->FreePages(seg->run_);
-      seg->resident_ = false;
-      seg->pins_ = 0;
-    }
+    for (Segment* seg : residents_) EvictOneLocked(seg);
     residents_.clear();
-    resident_bytes_ = 0;
+    for (Segment* seg : adopted_) seg->pager_ = nullptr;
+    adopted_.clear();
     if (spill_ != nullptr) std::fclose(spill_);
   }
   ResidentBytesGauge().Set(0);
+}
+
+void Pager::Forget(Segment* segment) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  adopted_.erase(segment);
+  auto it = std::find(residents_.begin(), residents_.end(), segment);
+  if (it == residents_.end()) return;
+  EvictOneLocked(segment);
+  residents_.erase(it);
 }
 
 Status Pager::AdoptSealed(Segment* segment,
@@ -123,6 +128,8 @@ Status Pager::AdoptSealed(Segment* segment,
     return Status::IOError("spill flush failed");
   }
   segment->file_offset_ = at;
+  segment->pager_ = this;
+  adopted_.insert(segment);
   spill_bytes_ = at + static_cast<int64_t>(payload.size());
   SealedSegmentsCounter().Add(1);
   SpillBytesGauge().Set(spill_bytes_);

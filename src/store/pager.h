@@ -15,13 +15,17 @@
 // Because sealed payloads are immutable, page-out is simply FreePages —
 // there is never a write-back — and a pinned segment can never be evicted
 // (pin counts), so a query holding a window pinned is safe against any
-// concurrent Pin pressure. All `doppio.store.*` metrics live here.
+// concurrent Pin pressure. Adoption links pager and segment both ways: a
+// destroyed segment gives its pages back (Forget), and a destroyed pager
+// frees every resident run and unlinks the segments that outlive it. All
+// `doppio.store.*` metrics live here.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <unordered_set>
 #include <vector>
 
 #include "common/macros.h"
@@ -77,6 +81,11 @@ class Pager {
   SharedArena* arena() const { return arena_; }
 
  private:
+  friend class Segment;
+
+  /// Drops a dying segment: frees its run if resident and unlinks it.
+  void Forget(Segment* segment);
+
   /// Evicts unpinned residents (LRU first) until `needed_bytes` fits the
   /// budget, or returns false when nothing more can be evicted.
   bool EvictForLocked(int64_t needed_bytes);
@@ -92,6 +101,7 @@ class Pager {
   int64_t resident_bytes_ = 0;       // page-granular resident accounting
   uint64_t lru_clock_ = 0;           // bumped on every Pin
   std::vector<Segment*> residents_;  // segments with a live PageRun
+  std::unordered_set<Segment*> adopted_;  // live segments linked to us
 };
 
 }  // namespace doppio

@@ -41,6 +41,9 @@ class Segment {
   /// `id` must come from AcquireColumnId() so sealed segments can key the
   /// shared result cache without colliding with Bat ids.
   explicit Segment(uint64_t id);
+  /// Hands a resident payload back to the adopting pager, so the pager
+  /// never holds a pointer to a destroyed segment.
+  ~Segment();
 
   DOPPIO_DISALLOW_COPY_AND_ASSIGN(Segment);
 
@@ -84,6 +87,7 @@ class Segment {
 
   // Residency state. Guarded by the owning Pager's mutex — never touched
   // outside it once the segment is registered.
+  Pager* pager_ = nullptr;    // set by AdoptSealed, cleared by ~Pager
   int64_t file_offset_ = -1;  // position in the pager's spill file
   PageRun run_;               // valid iff resident_
   bool resident_ = false;

@@ -1,13 +1,15 @@
-// Double-buffered streaming execution over a segmented column (ROADMAP
-// item 4): the out-of-core counterpart of db/hudf's batch executors.
+// Double-buffered streaming execution over a segmented column: the
+// out-of-core front-end of db/hudf's slice executor.
 //
 // A SegmentSnapshot is scanned one segment-window at a time. Each window
-// is pinned into the shared arena through the pager, sliced across the
-// device pool's engines exactly like a resident scan (placement via
-// ShardCounts, per-slice fault degradation via RunHostSlice), and its
-// results land in the window's disjoint row range of one result BAT — so
-// the stitched column of match values is bit-identical to scanning the
-// same rows fully resident.
+// is pinned into the shared arena through the pager and handed to
+// ExecuteScans as one scan request, exactly like a resident scan
+// (placement, work stealing and per-slice fault degradation included);
+// its results land in the window's disjoint row range of one result BAT —
+// so the stitched column of match values is bit-identical to scanning the
+// same rows fully resident. This file keeps only what is specific to
+// streaming: the per-segment cache probe and put, pinning and prefetch,
+// and the double-buffer stitch.
 //
 // Timing follows the repo's virtual-time discipline. A window that had to
 // be paged in pays the modeled QPI transfer (TransferSeconds over its

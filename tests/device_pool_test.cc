@@ -134,7 +134,7 @@ TEST(DevicePoolTest, PoolOfOneIsBitIdenticalToDirectSubmit) {
   auto pooled_config = pooled.CompileConfig(kPattern);
   ASSERT_TRUE(pooled_config.ok());
   auto pooled_out =
-      RegexpFpgaPartitionedPooled(&pooled, pooled_input, *pooled_config);
+      RegexpFpgaPartitioned(&pooled, pooled_input, *pooled_config);
   ASSERT_TRUE(pooled_out.ok()) << pooled_out.status().ToString();
 
   // Result column: byte-identical.
@@ -179,7 +179,7 @@ TEST(DevicePoolTest, PoolOfOneEquivalenceHoldsUnderFaults) {
   auto config_b = pooled.CompileConfig("Gasse");
   ASSERT_TRUE(config_b.ok());
   auto pooled_out =
-      RegexpFpgaPartitionedPooled(&pooled, pooled_input, *config_b);
+      RegexpFpgaPartitioned(&pooled, pooled_input, *config_b);
   ASSERT_TRUE(pooled_out.ok());
 
   EXPECT_EQ(std::memcmp(direct_out->result->tail_data(),
@@ -223,7 +223,7 @@ TEST(DevicePoolTest, ShardPlacementIsDeterministic) {
     EXPECT_TRUE(config.ok());
     std::vector<std::pair<int64_t, int64_t>> deltas =
         SliceDeltas(hal.pool(), [&]() {
-          auto out = RegexpFpgaPartitionedPooled(&hal, input, *config);
+          auto out = RegexpFpgaPartitioned(&hal, input, *config);
           EXPECT_TRUE(out.ok());
           EXPECT_EQ(out->stats.rows_scanned, kRows);
         });
@@ -259,7 +259,7 @@ TEST(DevicePoolTest, ShardedResultsMatchSingleDeviceBytes) {
     FillInput(&pooled, &input, kRows);
     auto config = pooled.CompileConfig(kPattern);
     ASSERT_TRUE(config.ok());
-    auto out = RegexpFpgaPartitionedPooled(&pooled, input, *config);
+    auto out = RegexpFpgaPartitioned(&pooled, input, *config);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_EQ(std::memcmp(single_out->result->tail_data(),
                           out->result->tail_data(),
@@ -293,7 +293,7 @@ TEST(DevicePoolTest, WorkStealingDrainsAroundAStalledDevice) {
   const int64_t steals_out_before = hal.pool()->steals_out(1);
   // 16 partitions: 8 land on each device, 4 stall in flight on device 1,
   // the rest of its backlog is stealable.
-  auto out = RegexpFpgaPartitionedPooled(&hal, input, *config, 16);
+  auto out = RegexpFpgaPartitioned(&hal, input, *config, 16);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 
   EXPECT_GT(hal.pool()->steals_in(0) - steals_in_before, 0);
@@ -319,7 +319,7 @@ TEST(DevicePoolTest, PerDeviceMetricAndTraceAttribution) {
   ASSERT_TRUE(config.ok());
   std::vector<std::pair<int64_t, int64_t>> deltas =
       SliceDeltas(hal.pool(), [&]() {
-        auto out = RegexpFpgaPartitionedPooled(&hal, input, *config);
+        auto out = RegexpFpgaPartitioned(&hal, input, *config);
         ASSERT_TRUE(out.ok());
       });
   tracer.SetEnabled(false);
@@ -354,7 +354,7 @@ TEST(DevicePoolTest, HwSecondsComputedPerClockDomain) {
   FillInput(&hal, &input, 3000);
   auto config = hal.CompileConfig("Strasse");
   ASSERT_TRUE(config.ok());
-  auto out = RegexpFpgaPartitionedPooled(&hal, input, *config);
+  auto out = RegexpFpgaPartitioned(&hal, input, *config);
   ASSERT_TRUE(out.ok());
   EXPECT_GT(out->stats.hw_seconds, 0.0);
   // A cross-domain subtraction would report ~1 s here.
@@ -446,7 +446,7 @@ TEST(DevicePoolTest, SaturationRowsSurviveShardingBoundaries) {
     FillInput(&hal, &input, 61);
     auto config = hal.CompileConfig("Strasse");
     ASSERT_TRUE(config.ok());
-    auto out = RegexpFpgaPartitionedPooled(&hal, input, *config);
+    auto out = RegexpFpgaPartitioned(&hal, input, *config);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     const uint16_t expected_lane[] = {65534, 65535, 65535};
     for (int64_t i = 0; i < 3; ++i) {
@@ -495,7 +495,7 @@ TEST(DevicePoolTest, SetCompiledSaturationSurvivesShardingBoundaries) {
     query.config = &*set;
     query.streams = 2;
     std::vector<FpgaBatchQuery*> batch{&query};
-    Status st = RegexpFpgaBatchPooled(&hal, batch);
+    Status st = RegexpFpgaBatch(&hal, batch);
     ASSERT_TRUE(st.ok()) << st.ToString();
     ASSERT_EQ(query.set_outputs.size(), 2u);
     EXPECT_EQ(query.out.stats.strategy, "fpga-set");
@@ -517,7 +517,7 @@ TEST(DevicePoolTest, SetCompiledSaturationSurvivesShardingBoundaries) {
     // Every stream's full column is bit-identical to scanning its member
     // pattern alone on the same pool.
     for (int p = 0; p < 2; ++p) {
-      auto solo = RegexpFpgaPartitionedPooled(&hal, input,
+      auto solo = RegexpFpgaPartitioned(&hal, input,
                                               p == 0 ? *strasse : *gasse);
       ASSERT_TRUE(solo.ok()) << solo.status().ToString();
       for (int64_t i = 0; i < input.count(); ++i) {

@@ -138,6 +138,20 @@ TEST(HudfTest, RegexpFpgaReportsPhaseBreakdown) {
   EXPECT_EQ(result->result->count(), 10'000);
 }
 
+TEST(HudfTest, RegexpFpgaCountsCompileTimeOnce) {
+  // Compile time is its own phase (config_gen_seconds): it must not also
+  // be subtracted from the UDF's software phase, which never included it.
+  Hal hal(SmallHal());
+  Bat input(ValueType::kString, hal.bat_allocator());
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_TRUE(input.AppendString("7 Berner Strasse|61234|Muenchen").ok());
+  }
+  auto result = RegexpFpga(&hal, input, R"((Strasse|Str\.).*(8[0-9]{4}))");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->stats.udf_software_seconds, 0.0);
+  EXPECT_GT(result->stats.config_gen_seconds, 0.0);
+}
+
 TEST(HudfTest, PartitionedMatchesSingleJob) {
   // The engine-side HUDF splits one query across all four engines
   // (paper §7.5); results must be identical to the single-job run and

@@ -290,7 +290,7 @@ TEST_P(ConformanceTest, DevicePoolShardingAgreesWhenMappable) {
     fill(hal, &input);
     auto config = hal->CompileConfig(c.pattern);
     ASSERT_TRUE(config.ok()) << c.pattern;
-    auto out = RegexpFpgaPartitionedPooled(hal, input, *config);
+    auto out = RegexpFpgaPartitioned(hal, input, *config);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_EQ(std::memcmp(reference->result->tail_data(),
                           out->result->tail_data(),

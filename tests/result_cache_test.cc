@@ -96,7 +96,7 @@ std::vector<int16_t> DirectResult(Hal* hal, const Bat& input,
                                   const std::string& pattern) {
   auto config = hal->CompileConfig(pattern);
   EXPECT_TRUE(config.ok()) << config.status().ToString();
-  auto out = RegexpFpgaPartitionedPooled(hal, input, *config);
+  auto out = RegexpFpgaPartitioned(hal, input, *config);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   std::vector<int16_t> values(static_cast<size_t>(input.count()));
   for (int64_t i = 0; i < input.count(); ++i) {

@@ -14,7 +14,9 @@
 #include "db/column_store.h"
 #include "db/hudf.h"
 #include "hal/hal.h"
+#include "hw/fault_plan.h"
 #include "mem/arena.h"
+#include "obs/metrics.h"
 #include "sched/result_cache.h"
 #include "store/pager.h"
 #include "store/segment.h"
@@ -50,7 +52,7 @@ std::vector<int16_t> ResidentResult(Hal* hal, const std::vector<std::string>& ro
   }
   auto config = hal->CompileConfig(pattern);
   EXPECT_TRUE(config.ok()) << config.status().ToString();
-  auto out = RegexpFpgaPartitionedPooled(hal, input, *config);
+  auto out = RegexpFpgaPartitioned(hal, input, *config);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   std::vector<int16_t> values(rows.size());
   for (int64_t i = 0; i < input.count(); ++i) {
@@ -420,6 +422,45 @@ TEST_F(StreamTest, SaturationAtSegmentBoundaries) {
     EXPECT_EQ(at(boundary_first + 1), 65535);
     EXPECT_EQ(at(boundary_first + 2), 65535);
   }
+}
+
+TEST_F(StreamTest, StalledDeviceDegradesAndCountsFallbackRows) {
+  // Streamed windows run through the same slice executor as resident
+  // scans, so a stalled pool member degrades its slices to the host and
+  // the degraded rows land in doppio.db.fallback_rows like on every other
+  // route.
+  const std::vector<std::string> rows = MakeRows(2048);
+  Hal healthy(TestHal());
+  const std::vector<int16_t> expected =
+      ResidentResult(&healthy, rows, "Strasse");
+
+  FaultPlan stalled;
+  stalled.enabled = true;
+  stalled.stalled_engine_mask = 0xF;  // every engine of device 1 hangs
+  Hal::Options options = TestHal(2);
+  options.device_faults = {FaultPlan{}, stalled};
+  Hal hal(options);
+  PagerOptions popts;
+  popts.budget_bytes = 8 * kSharedPageBytes;
+  Pager pager(hal.arena(), popts);
+  auto column = BuildSegmented(&pager, rows, 16 * 1024);
+  SegmentSnapshot snapshot = column->Snapshot();
+  ASSERT_GE(snapshot.segments.size(), 2u);
+  auto config = hal.CompileConfig("Strasse");
+  ASSERT_TRUE(config.ok());
+
+  obs::Counter* fallback_rows = obs::MetricsRegistry::Global().GetCounter(
+      "doppio.db.fallback_rows");
+  const int64_t before = fallback_rows->Value();
+  auto out = RegexpFpgaStreamed(&hal, &pager, snapshot, *config);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  for (int64_t i = 0; i < snapshot.rows; ++i) {
+    ASSERT_EQ(out->result->GetInt16(i), expected[static_cast<size_t>(i)])
+        << "row " << i;
+  }
+  EXPECT_EQ(out->stats.strategy, "fpga-streamed+sw_fallback");
+  EXPECT_GT(out->stats.fallback_rows, 0);
+  EXPECT_EQ(fallback_rows->Value() - before, out->stats.fallback_rows);
 }
 
 TEST_F(StreamTest, OverlapBeatsSerialPaging) {
