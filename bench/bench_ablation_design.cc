@@ -35,7 +35,7 @@ RunResult RunClosedLoop(const DeviceConfig& device, const Bat& strings,
     params.result = scratch.mutable_tail_data();
     params.count = strings.count();
     params.heap_bytes = strings.heap()->size_bytes();
-    params.config = config->vector.bytes();
+    params.program = config->program;
     params.timing_only = true;
     auto job = fpga.Submit(std::move(params), [&, remaining] {
       ++completed;

@@ -58,7 +58,7 @@ int main() {
       params.result = scratch.mutable_tail_data();
       params.count = strings->count();
       params.heap_bytes = heap_bytes;
-      params.config = config->vector.bytes();
+      params.program = config->program;
       params.timing_only = true;  // throughput experiment
       auto job = fpga.Submit(std::move(params), [&, client, remaining] {
         ++completed;

@@ -134,11 +134,19 @@ BENCHMARK(BM_MultiSubstringLike)->Unit(benchmark::kMillisecond);
 
 void BM_ProcessingUnitSim(benchmark::State& state) {
   DeviceConfig device;
-  ProcessingUnit pu(device);
   auto config =
       CompileRegexConfig(QueryPattern(QueryForIndex(state.range(0))), device);
-  if (!config.ok()) state.SkipWithError("compile failed");
-  if (!pu.Configure(config->vector).ok()) state.SkipWithError("config");
+  if (!config.ok()) {
+    state.SkipWithError("compile failed");
+    return;
+  }
+  auto program = CompiledPuProgram::Compile(config->vector, device);
+  if (!program.ok()) {
+    state.SkipWithError("config");
+    return;
+  }
+  ProcessingUnit pu;
+  pu.Configure(*program);
   state.SetLabel(std::string("kernel=") + PuKernelName(pu.kernel()));
   int64_t matches = 0;
   for (auto _ : state) {
@@ -173,7 +181,7 @@ void RunPuKernel(benchmark::State& state, PuKernelOptions::Force force) {
     state.SkipWithError("kernel compile failed");
     return;
   }
-  ProcessingUnit pu(device);
+  ProcessingUnit pu;
   pu.Configure(*program);
   state.SetLabel(std::string("kernel=") + PuKernelName(pu.kernel()));
   int64_t matches = 0;

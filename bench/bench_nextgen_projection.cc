@@ -39,7 +39,7 @@ double PartitionedResponse(const DeviceConfig& device, const Bat& strings,
     params.heap_bytes = first + rows < strings.count()
                             ? static_cast<int64_t>(offsets[first + rows])
                             : heap_bytes;
-    params.config = config->vector.bytes();
+    params.program = config->program;
     params.timing_only = true;
     auto job = fpga.Submit(std::move(params));
     if (!job.ok()) std::exit(1);

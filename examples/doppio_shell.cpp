@@ -92,12 +92,13 @@ int main(int argc, char** argv) {
                   model.PredictRegexpLike(stats) * 1e3);
       std::printf("  like fast path:       %8.3f ms (if substring-able)\n",
                   model.PredictLike(stats) * 1e3);
-      auto fpga = model.PredictFpga(pattern, stats);
-      if (fpga.ok()) {
-        std::printf("  regexp_fpga:          %8.3f ms\n", *fpga * 1e3);
+      auto config = CompileRegexConfig(pattern, hal.device_config());
+      if (config.ok()) {
+        std::printf("  regexp_fpga:          %8.3f ms\n",
+                    model.PredictFpga(*config, stats) * 1e3);
       } else {
         std::printf("  regexp_fpga:          n/a (%s)\n",
-                    fpga.status().message().c_str());
+                    config.status().message().c_str());
         auto hybrid = model.PredictHybrid(pattern, stats);
         if (hybrid.ok()) {
           std::printf("  hybrid:               %8.3f ms\n", *hybrid * 1e3);

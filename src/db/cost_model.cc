@@ -102,38 +102,11 @@ double OperatorCostModel::PredictRegexpLike(const TableStats& stats) const {
          static_cast<double>(calibration_.cpu_cores);
 }
 
-Result<double> OperatorCostModel::PredictFpga(const std::string& pattern,
-                                              const TableStats& stats) const {
-  // Confirms the pattern maps onto the deployed geometry.
-  DOPPIO_RETURN_NOT_OK(
-      CompileRegexConfig(pattern, device_).status());
+double OperatorCostModel::PredictFpga(const RegexConfig& /*config*/,
+                                      const TableStats& stats) const {
   PerfEstimate est =
       EstimateJob(device_, stats.rows, stats.heap_bytes, /*engines=*/1);
   return est.seconds;
-}
-
-Result<double> OperatorCostModel::PredictFpgaStreamed(
-    const std::string& pattern, const TableStats& stats, int windows,
-    int64_t resident_bytes, bool overlap) const {
-  DOPPIO_RETURN_NOT_OK(CompileRegexConfig(pattern, device_).status());
-  if (windows <= 0) windows = 1;
-  PerfEstimate est =
-      EstimateJob(device_, stats.rows, stats.heap_bytes, /*engines=*/1);
-  // Payload = offsets + heap, exactly what the pager moves per window.
-  const int64_t payload =
-      stats.rows * 4 + stats.heap_bytes;
-  const int64_t paged = std::max<int64_t>(0, payload - resident_bytes);
-  const double d_w = est.seconds / static_cast<double>(windows);
-  const double t_w =
-      paged > 0 ? TransferSeconds(device_, paged / windows) : 0.0;
-  if (!overlap) {
-    return est.seconds + t_w * static_cast<double>(windows);
-  }
-  // Uniform-window closed form of the double-buffering recurrence: the
-  // first transfer and last execution are exposed, every other window
-  // hides the smaller of (transfer, execute) behind the larger.
-  return t_w + d_w +
-         static_cast<double>(windows - 1) * std::max(t_w, d_w);
 }
 
 Result<double> OperatorCostModel::PredictHybrid(
@@ -157,13 +130,11 @@ Result<double> OperatorCostModel::PredictHybrid(
 }
 
 Result<OperatorCostModel::HostPrediction> OperatorCostModel::PredictHostProgram(
-    const std::string& pattern, const TableStats& stats) const {
-  DOPPIO_ASSIGN_OR_RETURN(RegexConfig config,
-                          CompileRegexConfig(pattern, device_));
-  DOPPIO_ASSIGN_OR_RETURN(
-      std::shared_ptr<const CompiledPuProgram> program,
-      CompiledPuProgram::Compile(config.vector, device_));
-
+    const RegexConfig& config, const TableStats& stats) const {
+  const CompiledPuProgram* program = config.program.get();
+  if (program == nullptr) {
+    return Status::InvalidArgument("config has no compiled program");
+  }
   HostPrediction out;
   out.backend = BackendRegistry::Global().ChooseHost(*program).id();
   double bytes_per_sec = calibration_.dfa_bytes_per_sec;
@@ -260,12 +231,15 @@ OperatorCostModel::Choice OperatorCostModel::Choose(
     }
   }
   if (fpga_available) {
-    auto fpga = PredictFpga(pattern, stats);
-    if (fpga.ok() && *fpga < best.predicted_seconds) {
-      best = {StringFilterSpec::Op::kRegexpFpga, *fpga,
-              "hardware engine (fits deployed geometry)",
-              spec.op == StringFilterSpec::Op::kLike ? pattern : ""};
-    } else if (!fpga.ok()) {
+    auto config = CompileRegexConfig(pattern, device_);
+    if (config.ok()) {
+      const double fpga = PredictFpga(*config, stats);
+      if (fpga < best.predicted_seconds) {
+        best = {StringFilterSpec::Op::kRegexpFpga, fpga,
+                "hardware engine (fits deployed geometry)",
+                spec.op == StringFilterSpec::Op::kLike ? pattern : ""};
+      }
+    } else {
       auto hybrid = PredictHybrid(pattern, stats);
       if (hybrid.ok() && *hybrid < best.predicted_seconds) {
         best = {StringFilterSpec::Op::kHybrid, *hybrid,

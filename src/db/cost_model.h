@@ -17,6 +17,7 @@
 
 #include "common/status.h"
 #include "db/column_store.h"
+#include "hw/config_compiler.h"
 #include "hw/device_config.h"
 #include "hw/kernel_backend.h"
 
@@ -52,22 +53,11 @@ class OperatorCostModel {
   // --- Per-strategy predictions (seconds for one query) --------------------
   double PredictLike(const TableStats& stats) const;
   double PredictRegexpLike(const TableStats& stats) const;
-  /// Fails with CapacityExceeded when the pattern cannot be mapped.
-  Result<double> PredictFpga(const std::string& pattern,
-                             const TableStats& stats) const;
-  /// Segment-aware prediction for the out-of-core streaming executor
-  /// (docs/STORAGE.md): the column is scanned in `windows` equal
-  /// segment-windows, each paying a modeled QPI transfer for the bytes
-  /// not already resident (`resident_bytes` of the payload are pinned
-  /// and transfer-free). With `overlap` the double-buffering recurrence
-  /// hides the smaller of transfer/execute per window; without it the
-  /// windows are serial page-then-scan. `windows` <= 1 and everything
-  /// resident degenerates to PredictFpga exactly. Fails with
-  /// CapacityExceeded when the pattern cannot be mapped.
-  Result<double> PredictFpgaStreamed(const std::string& pattern,
-                                     const TableStats& stats, int windows,
-                                     int64_t resident_bytes = 0,
-                                     bool overlap = true) const;
+  /// Device execution of a compiled configuration. The caller compiles
+  /// (CompileRegexConfig fails with CapacityExceeded when the pattern
+  /// cannot be mapped), so holding `config` means the pattern fits; the
+  /// closed-form cost does not depend on which pattern it is.
+  double PredictFpga(const RegexConfig& config, const TableStats& stats) const;
   /// `prefix_selectivity`: expected fraction the CPU post-processes.
   Result<double> PredictHybrid(const std::string& pattern,
                                const TableStats& stats,
@@ -79,11 +69,9 @@ class OperatorCostModel {
     /// the prediction used).
     BackendId backend = BackendId::kCpuScalar;
   };
-  /// Predicted one-core host execution of the compiled PU program
-  /// through the kernel-backend registry (the scheduler's kCpuProgram
-  /// route). Fails with CapacityExceeded when the pattern cannot be
-  /// mapped onto the deployed geometry.
-  Result<HostPrediction> PredictHostProgram(const std::string& pattern,
+  /// Predicted one-core host execution of `config.program` through the
+  /// kernel-backend registry (the scheduler's kCpuProgram route).
+  Result<HostPrediction> PredictHostProgram(const RegexConfig& config,
                                             const TableStats& stats) const;
 
   struct Choice {

@@ -145,9 +145,6 @@ Result<HudfResult> RegexpHost(const DeviceConfig& device, const Bat& input,
   DOPPIO_ASSIGN_OR_RETURN(RegexConfig config,
                           CompileRegexConfig(pattern, device, options));
   out.stats.config_gen_seconds = config.compile_seconds;
-  DOPPIO_ASSIGN_OR_RETURN(
-      std::shared_ptr<const CompiledPuProgram> program,
-      CompiledPuProgram::Compile(config.vector, device));
 
   DOPPIO_ASSIGN_OR_RETURN(out.result,
                           Bat::New(ValueType::kInt16, input.count()));
@@ -162,13 +159,11 @@ Result<HudfResult> RegexpHost(const DeviceConfig& device, const Bat& input,
     params.count = input.count();
     params.offset_width = static_cast<int32_t>(input.offset_width());
     params.heap_bytes = input.heap()->size_bytes();
-    params.config = config.vector.bytes();
-    DOPPIO_ASSIGN_OR_RETURN(
-        int64_t matches,
-        RunHostSlice(device, params, std::move(program), &info));
+    params.program = config.program;
+    DOPPIO_ASSIGN_OR_RETURN(int64_t matches, RunHostSlice(params, &info));
     out.stats.rows_matched = matches;
   } else {
-    info.backend = BackendRegistry::Global().ChooseHost(*program).id();
+    info.backend = BackendRegistry::Global().ChooseHost(*config.program).id();
   }
   out.stats.strategy = std::string("host-") + BackendName(info.backend);
   out.stats.pu_kernel = info.kernel;
@@ -213,7 +208,7 @@ Status ExecuteScans(Hal* hal, const std::vector<ScanRequest>& requests) {
                                          : req.heap_bytes;
       params.result = req.result + first * 2 * req.streams;
       params.streams = req.streams;
-      params.config = req.config->vector.bytes();
+      params.program = req.config->program;
       params.timing_only = req.timing_only;
     }
   }
@@ -371,8 +366,7 @@ Status ExecuteScans(Hal* hal, const std::vector<ScanRequest>& requests) {
       tracer.RecordInstant(req.trace, "sw_fallback",
                            pool->device(slice.device)->now());
     }
-    DOPPIO_ASSIGN_OR_RETURN(int64_t matches,
-                            RunHostSlice(hal->device_config(), slice.params));
+    DOPPIO_ASSIGN_OR_RETURN(int64_t matches, RunHostSlice(slice.params));
     stats.rows_matched += matches;
     stats.fallback_rows += slice.params.count;
     FallbackRowsCounter().Add(slice.params.count);

@@ -138,15 +138,12 @@ std::optional<HybridResult> TryPrefilterRefine(
         FingerprintOf(*prefix_config), column_id, column_version, rows);
     if (block == nullptr) continue;
 
-    auto program =
-        CompiledPuProgram::Compile(full_config.vector, hal->device_config());
-    if (!program.ok()) break;
     auto result = Bat::New(ValueType::kInt16, rows, hal->bat_allocator());
     if (!result.ok() || !(*result)->AppendZeros(rows).ok()) break;
     Stopwatch refine_watch;
     HostSliceInfo info;
     auto matches = RunHostCandidates(
-        hal->device_config(), input, rows, block->values.data(), *program,
+        input, rows, block->values.data(), full_config.program,
         reinterpret_cast<uint16_t*>((*result)->mutable_tail_data()), &info);
     if (!matches.ok()) break;
 
@@ -185,9 +182,6 @@ std::optional<HybridResult> TryPrefixTailServe(
   if (block == nullptr) return std::nullopt;
   const int64_t prefix_rows = block->rows();
 
-  auto program =
-      CompiledPuProgram::Compile(full_config.vector, hal->device_config());
-  if (!program.ok()) return std::nullopt;
   auto result = Bat::New(ValueType::kInt16, rows, hal->bat_allocator());
   if (!result.ok() || !(*result)->AppendZeros(rows).ok()) return std::nullopt;
   std::memcpy((*result)->mutable_tail_data(), block->values.data(),
@@ -201,10 +195,9 @@ std::optional<HybridResult> TryPrefixTailServe(
       (*result)->mutable_tail_data() + prefix_rows * sizeof(uint16_t);
   params.count = rows - prefix_rows;
   params.heap_bytes = input.heap()->size_bytes();
-  params.config = full_config.vector.bytes();
+  params.program = full_config.program;
   HostSliceInfo info;
-  auto tail_matches =
-      RunHostSlice(hal->device_config(), params, *program, &info);
+  auto tail_matches = RunHostSlice(params, &info);
   if (!tail_matches.ok()) return std::nullopt;
 
   HybridResult out;

@@ -104,7 +104,7 @@ Result<JobParams> Hal::BuildRegexJobParams(const Bat& input, Bat* result,
   params.count = input.count();
   params.offset_width = static_cast<int32_t>(input.offset_width());
   params.heap_bytes = input.heap()->size_bytes();
-  params.config = config.vector.bytes();
+  params.program = config.program;
   return params;
 }
 

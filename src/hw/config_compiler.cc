@@ -23,10 +23,13 @@ Status CheckCapacity(const TokenNfa& nfa, const DeviceConfig& device) {
   return Status::OK();
 }
 
-Result<RegexConfig> CompileRegexConfig(const AstNode& ast,
-                                       const DeviceConfig& device,
-                                       const CompileOptions& options) {
-  Stopwatch watch;
+namespace {
+
+// Vector generation: the part of CompileRegexConfig that compile_seconds
+// times.
+Result<RegexConfig> GenerateConfig(const AstNode& ast,
+                                   const DeviceConfig& device,
+                                   const CompileOptions& options) {
   DOPPIO_ASSIGN_OR_RETURN(TokenNfa nfa, ExtractTokenNfa(ast, options));
   DOPPIO_RETURN_NOT_OK(CheckCapacity(nfa, device));
   DOPPIO_ASSIGN_OR_RETURN(ConfigVector vector, ConfigVector::Encode(nfa));
@@ -36,8 +39,29 @@ Result<RegexConfig> CompileRegexConfig(const AstNode& ast,
   config.matchers_used = nfa.TotalMatchers();
   config.vector = std::move(vector);
   config.nfa = std::move(nfa);
-  config.compile_seconds = watch.ElapsedSeconds();
   return config;
+}
+
+// The one CompiledPuProgram of a generated vector. Called after the
+// caller's stopwatch stopped, so compile_seconds stays the paper's
+// Config. Gen. bar.
+Result<RegexConfig> WithProgram(RegexConfig config,
+                                const DeviceConfig& device) {
+  DOPPIO_ASSIGN_OR_RETURN(config.program,
+                          CompiledPuProgram::Compile(config.vector, device));
+  return config;
+}
+
+}  // namespace
+
+Result<RegexConfig> CompileRegexConfig(const AstNode& ast,
+                                       const DeviceConfig& device,
+                                       const CompileOptions& options) {
+  Stopwatch watch;
+  DOPPIO_ASSIGN_OR_RETURN(RegexConfig config,
+                          GenerateConfig(ast, device, options));
+  config.compile_seconds = watch.ElapsedSeconds();
+  return WithProgram(std::move(config), device);
 }
 
 Result<RegexConfig> CompileRegexSetConfig(
@@ -46,8 +70,9 @@ Result<RegexConfig> CompileRegexSetConfig(
   DOPPIO_ASSIGN_OR_RETURN(TokenNfa nfa, BuildUnionNfa(members));
   DOPPIO_RETURN_NOT_OK(CheckCapacity(nfa, device));
   if (nfa.NumStates() > 64) {
-    // CompiledPuProgram would reject it later; fail at compile time so the
-    // scheduler falls back to the multi-pass planner up front.
+    // The simulator's program limit; checked before encoding so the
+    // scheduler gets CapacityExceeded and falls back to the multi-pass
+    // planner.
     return Status::CapacityExceeded("pattern-set union exceeds 64 states");
   }
   DOPPIO_ASSIGN_OR_RETURN(ConfigVector vector, ConfigVector::Encode(nfa));
@@ -58,7 +83,7 @@ Result<RegexConfig> CompileRegexSetConfig(
   config.vector = std::move(vector);
   config.nfa = std::move(nfa);
   config.compile_seconds = watch.ElapsedSeconds();
-  return config;
+  return WithProgram(std::move(config), device);
 }
 
 Result<RegexConfig> CompileRegexConfig(std::string_view pattern,
@@ -71,9 +96,9 @@ Result<RegexConfig> CompileRegexConfig(std::string_view pattern,
                           ParseAnchoredPattern(pattern));
   DOPPIO_ASSIGN_OR_RETURN(
       RegexConfig config,
-      CompileRegexConfig(*parsed.ast, device, parsed.Options(options)));
+      GenerateConfig(*parsed.ast, device, parsed.Options(options)));
   config.compile_seconds = watch.ElapsedSeconds();
-  return config;
+  return WithProgram(std::move(config), device);
 }
 
 }  // namespace doppio

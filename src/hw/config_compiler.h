@@ -6,8 +6,14 @@
 // CapacityExceeded when the pattern needs more character matchers or
 // state-graph nodes than the deployment provides — the signal that drives
 // hybrid execution.
+//
+// It is also where a configuration's program lifetime starts: each
+// RegexConfig carries the one CompiledPuProgram (hw/pu_kernel.h) of its
+// vector, and the device, host slices and cost model all use that
+// program instead of compiling the bytes again.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +21,7 @@
 #include "common/status.h"
 #include "hw/config_vector.h"
 #include "hw/device_config.h"
+#include "hw/pu_kernel.h"
 #include "regex/matcher.h"
 #include "regex/pattern_ast.h"
 #include "regex/token_nfa.h"
@@ -24,9 +31,14 @@ namespace doppio {
 struct RegexConfig {
   ConfigVector vector;
   TokenNfa nfa;  // decoded view, used by the simulator and for stats
+  /// The vector's one compilation, built with it and shared by everything
+  /// that executes it: device jobs (JobParams::program), host slices and
+  /// the cost model. Never null in a successfully compiled config.
+  std::shared_ptr<const CompiledPuProgram> program;
   int states_used = 0;
   int matchers_used = 0;
-  /// CPU time spent generating the vector (the Fig. 10 "Config. Gen." bar).
+  /// CPU time spent generating the vector (the Fig. 10 "Config. Gen." bar);
+  /// building `program` afterwards is not included.
   double compile_seconds = 0;
 };
 

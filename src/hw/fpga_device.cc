@@ -3,7 +3,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "hw/config_vector.h"
+#include "hw/config_compiler.h"
 #include "obs/metrics.h"
 
 namespace doppio {
@@ -112,10 +112,12 @@ Status FpgaDevice::ValidateJob(const JobParams& params) const {
        params.result == nullptr)) {
     return Status::InvalidArgument("null job pointer");
   }
-  // Validate the configuration vector by decoding it.
-  DOPPIO_ASSIGN_OR_RETURN(ConfigVector cv,
-                          ConfigVector::FromBytes(params.config));
-  (void)cv;
+  // The program must fit this device's geometry: a job the engines
+  // cannot load is refused here, not at dispatch.
+  if (params.program == nullptr) {
+    return Status::InvalidArgument("job has no compiled program");
+  }
+  DOPPIO_RETURN_NOT_OK(CheckCapacity(params.program->nfa(), config_));
   if (arena_ != nullptr && params.count > 0) {
     // The FPGA's pagetable covers only the pinned shared region; touching
     // anything else would be an unrecoverable fault (§4.2.1).

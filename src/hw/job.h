@@ -6,7 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "common/sim_scheduler.h"
 #include "common/status.h"
@@ -15,8 +15,10 @@ namespace doppio {
 
 using JobId = int64_t;
 
+class CompiledPuProgram;
+
 /// Parameter structure (one per job, written by the HAL, read by the
-/// engine): pointers into shared memory plus the configuration vector.
+/// engine): pointers into shared memory plus the compiled configuration.
 struct JobParams {
   const uint8_t* offsets = nullptr;  // offset BAT tail (uint32 entries)
   const uint8_t* heap = nullptr;     // string heap base
@@ -24,7 +26,10 @@ struct JobParams {
   int64_t count = 0;                 // number of strings
   int32_t offset_width = 4;          // bytes per offset
   int64_t heap_bytes = 0;            // heap extent (for prefetch sizing)
-  std::vector<uint8_t> config;       // configuration vector words
+  /// The configuration's compiled program (RegexConfig::program). The
+  /// engine fetches program->config() with the parameters and executes
+  /// the program as is: the device never recompiles.
+  std::shared_ptr<const CompiledPuProgram> program;
   /// Tagged output streams of a set-compiled config (must equal the
   /// program's num_patterns). The result block holds count*streams 16-bit
   /// indexes, row-major per string: string i's stream p lands at

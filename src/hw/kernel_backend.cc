@@ -45,8 +45,7 @@ namespace {
 /// the reference host execution every other backend is compared against.
 class ScalarExecution : public HostExecution {
  public:
-  explicit ScalarExecution(std::shared_ptr<const CompiledPuProgram> program)
-      : pu_(DeviceConfig{}) {
+  explicit ScalarExecution(std::shared_ptr<const CompiledPuProgram> program) {
     pu_.Configure(std::move(program));
   }
 
@@ -256,14 +255,10 @@ const KernelBackend& BackendRegistry::ChooseHost(
   return simd.Supports(program) ? simd : Get(BackendId::kCpuScalar);
 }
 
-Result<int64_t> RunHostSlice(const DeviceConfig& device,
-                             const JobParams& params,
-                             std::shared_ptr<const CompiledPuProgram> program,
-                             HostSliceInfo* info) {
+Result<int64_t> RunHostSlice(const JobParams& params, HostSliceInfo* info) {
+  const std::shared_ptr<const CompiledPuProgram>& program = params.program;
   if (program == nullptr) {
-    DOPPIO_ASSIGN_OR_RETURN(ConfigVector cv,
-                            ConfigVector::FromBytes(params.config));
-    DOPPIO_ASSIGN_OR_RETURN(program, CompiledPuProgram::Compile(cv, device));
+    return Status::InvalidArgument("host slice has no compiled program");
   }
   const KernelBackend& backend =
       BackendRegistry::Global().ChooseHost(*program);
@@ -294,8 +289,7 @@ Result<int64_t> RunHostSlice(const DeviceConfig& device,
 }
 
 Result<int64_t> RunHostCandidates(
-    const DeviceConfig& device, const Bat& input, int64_t rows,
-    const uint16_t* candidates,
+    const Bat& input, int64_t rows, const uint16_t* candidates,
     std::shared_ptr<const CompiledPuProgram> program, uint16_t* result,
     HostSliceInfo* info) {
   if (candidates == nullptr || result == nullptr || program == nullptr) {

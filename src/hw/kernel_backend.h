@@ -33,7 +33,6 @@
 
 #include "bat/bat.h"
 #include "common/status.h"
-#include "hw/device_config.h"
 #include "hw/job.h"
 #include "hw/pu_kernel.h"
 
@@ -121,13 +120,9 @@ struct HostSliceInfo {
 /// Executes one job slice on the host through the registry-chosen
 /// backend, writing raw 16-bit match indexes into the slice's result
 /// range — bit-identical to the hardware functional pass by
-/// construction. `program` reuses an already-compiled program; when null
-/// the slice's config bytes are compiled on the spot. Returns the
+/// construction, since it runs the same `params.program`. Returns the
 /// slice's match count.
-Result<int64_t> RunHostSlice(const DeviceConfig& device,
-                             const JobParams& params,
-                             std::shared_ptr<const CompiledPuProgram> program =
-                                 nullptr,
+Result<int64_t> RunHostSlice(const JobParams& params,
                              HostSliceInfo* info = nullptr);
 
 /// Candidate-subset host execution — the result-cache pre-filter's
@@ -140,8 +135,7 @@ Result<int64_t> RunHostSlice(const DeviceConfig& device,
 /// subsumption precondition the output is bit-identical to a full scan.
 /// Writes one uint16 per row into `result` and returns the match count.
 Result<int64_t> RunHostCandidates(
-    const DeviceConfig& device, const Bat& input, int64_t rows,
-    const uint16_t* candidates,
+    const Bat& input, int64_t rows, const uint16_t* candidates,
     std::shared_ptr<const CompiledPuProgram> program, uint16_t* result,
     HostSliceInfo* info = nullptr);
 

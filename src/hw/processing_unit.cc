@@ -4,16 +4,6 @@
 
 namespace doppio {
 
-ProcessingUnit::ProcessingUnit(const DeviceConfig& device) : device_(device) {}
-
-Status ProcessingUnit::Configure(const ConfigVector& config) {
-  DOPPIO_ASSIGN_OR_RETURN(
-      std::shared_ptr<const CompiledPuProgram> program,
-      CompiledPuProgram::Compile(config, device_));
-  Configure(std::move(program));
-  return Status::OK();
-}
-
 void ProcessingUnit::Configure(
     std::shared_ptr<const CompiledPuProgram> program) {
   DOPPIO_CHECK(program != nullptr);

@@ -21,9 +21,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/status.h"
-#include "hw/config_vector.h"
-#include "hw/device_config.h"
 #include "hw/pu_kernel.h"
 #include "regex/token_nfa.h"
 
@@ -31,16 +28,9 @@ namespace doppio {
 
 class ProcessingUnit {
  public:
-  /// Creates a PU with the deployment geometry (capacity limits).
-  explicit ProcessingUnit(const DeviceConfig& device);
-
-  /// Compiles and loads a configuration vector into the Tokens/Triggers/
-  /// Transitions registers. Fails if the decoded program exceeds the
-  /// geometry — the hardware would have no registers to hold it.
-  Status Configure(const ConfigVector& config);
-
-  /// Loads an already-compiled shared program (the per-job path: the
-  /// engine compiles once, all 16 PUs and every worker thread share it).
+  /// Loads a compiled program into the Tokens/Triggers/Transitions
+  /// registers. The program was checked against the geometry when it was
+  /// compiled; all 16 PUs of an engine and every worker thread share it.
   void Configure(std::shared_ptr<const CompiledPuProgram> program);
 
   /// Resets the state graph for a new input string.
@@ -90,7 +80,6 @@ class ProcessingUnit {
   /// Ordered substring stages (LIKE '%s1%s2%...%' shape).
   uint16_t RunLiteral(std::string_view input) const;
 
-  DeviceConfig device_;
   std::shared_ptr<const CompiledPuProgram> program_;
   /// Lazy-DFA transition memo; per-PU so worker threads never contend.
   std::unique_ptr<LazyDfaCache> dfa_;

@@ -61,6 +61,7 @@ Result<std::shared_ptr<const CompiledPuProgram>> CompiledPuProgram::Compile(
   }
 
   std::shared_ptr<CompiledPuProgram> program(new CompiledPuProgram());
+  program->config_ = config;
   program->nfa_ = std::move(nfa);
   const TokenNfa& prog_nfa = program->nfa_;
 

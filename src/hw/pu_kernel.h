@@ -4,7 +4,7 @@
 // The cycle-level interpreter in hw/processing_unit.cc walks every
 // (trigger token, state) edge for every input byte — faithful, but it caps
 // the simulator's wall-clock throughput far below what the modeled
-// hardware sustains. When a job's ConfigVector is loaded, this layer
+// hardware sustains. When a ConfigVector is generated, this layer
 // analyzes the decoded TokenNfa once and picks the cheapest equivalent
 // backend:
 //
@@ -17,10 +17,11 @@
 //   3. nfa-loop   — the original bit-parallel edge interpreter; general
 //                   case and the fallback when the DFA cache overflows.
 //
-// The compiled program is immutable and shared (shared_ptr) by all PUs of
-// an engine and by every worker thread of the host-parallel path, so the
-// per-job ConfigVector::Decode() and 256-entry byte-mask table builds
-// happen exactly once per job instead of once per PU.
+// The compiled program is immutable and shared (shared_ptr). The config
+// compiler builds it once, beside the configuration vector
+// (hw/config_compiler.h); job parameters carry it to every engine, PU,
+// worker thread and host slice, so the ConfigVector::Decode() and
+// 256-entry byte-mask table builds happen once per configuration.
 //
 // Functional-path optimization only: simulated timing (BlockTiming,
 // arbiter, scheduler) never looks at which kernel ran.
@@ -83,14 +84,19 @@ class CompiledPuProgram {
   };
 
   /// Decodes, validates against the geometry, builds the edge tables and
-  /// byte classes, and selects the kernel. Fails exactly where the old
-  /// per-PU Configure failed (CapacityExceeded and structural errors).
+  /// byte classes, and selects the kernel. Fails with CapacityExceeded
+  /// when the program does not fit the geometry, and on structural
+  /// errors. Outside tests and benches, only the config compiler calls
+  /// this: RegexConfig::program is the one compilation of a vector.
   static Result<std::shared_ptr<const CompiledPuProgram>> Compile(
       const ConfigVector& config, const DeviceConfig& device,
       const PuKernelOptions& options = {});
 
   PuKernelKind kernel() const { return kernel_; }
   const TokenNfa& nfa() const { return nfa_; }
+  /// The configuration vector this program was compiled from — what the
+  /// engine fetches with the job parameters (it sizes that transfer).
+  const ConfigVector& config() const { return config_; }
 
   const std::vector<Edge>& edges() const { return edges_; }
   uint64_t latch_mask() const { return latch_mask_; }
@@ -143,6 +149,7 @@ class CompiledPuProgram {
  private:
   CompiledPuProgram() = default;
 
+  ConfigVector config_;
   TokenNfa nfa_;
   PuKernelKind kernel_ = PuKernelKind::kNfaLoop;
   std::vector<Edge> edges_;

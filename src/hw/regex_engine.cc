@@ -30,10 +30,7 @@ RegexEngine::RegexEngine(int id, const DeviceConfig& device, Arbiter* arbiter,
   metric_functional_mbps_ = registry.GetHistogram(
       "doppio.engine.functional_mbps", obs::MbpsBuckets(),
       "functional-pass host throughput per job, all engines");
-  pus_.reserve(static_cast<size_t>(device_.pus_per_engine));
-  for (int i = 0; i < device_.pus_per_engine; ++i) {
-    pus_.emplace_back(device_);
-  }
+  pus_.resize(static_cast<size_t>(device_.pus_per_engine));
 }
 
 Status RegexEngine::Start(JobParams* params, JobStatus* status,
@@ -70,6 +67,7 @@ Status RegexEngine::Start(JobParams* params, JobStatus* status,
     scheduler_->ScheduleAfter(PicosFromSeconds(device_.job_setup_sec),
                               [this] {
                                 auto on_drop = std::move(on_done_);
+                                params_->program.reset();  // see Finalize
                                 busy_ = false;
                                 params_ = nullptr;
                                 status_ = nullptr;
@@ -88,7 +86,8 @@ Status RegexEngine::Start(JobParams* params, JobStatus* status,
   // Timing: job-parameter fetch + PU parametrization (~300 ns), then the
   // chunked reader pipeline.
   const int64_t param_lines =
-      1 + static_cast<int64_t>(params_->config.size() + kCacheLineBytes - 1) /
+      1 + static_cast<int64_t>(params_->program->config().bytes().size() +
+                               kCacheLineBytes - 1) /
               kCacheLineBytes;
   SimTime fetch_done =
       arbiter_->Transfer(id_, scheduler_->now(), param_lines);
@@ -129,13 +128,10 @@ void RegexEngine::BuildChunks() {
 
 Status RegexEngine::RunFunctional(JobParams* params, JobStatus* status,
                                   std::vector<BlockTiming>* blocks) {
-  // Compile the job's configuration vector once; every PU (and every
-  // worker thread) shares the immutable program — they all evaluate the
-  // same expression; parallelism is across tuples.
-  DOPPIO_ASSIGN_OR_RETURN(ConfigVector cv,
-                          ConfigVector::FromBytes(params->config));
-  DOPPIO_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPuProgram> program,
-                          CompiledPuProgram::Compile(cv, device_));
+  // Every PU (and every worker thread) shares the job's immutable
+  // program — they all evaluate the same expression; parallelism is
+  // across tuples.
+  const std::shared_ptr<const CompiledPuProgram>& program = params->program;
   // A set-compiled config carries its stream count redundantly in the job
   // parameters; a mismatch means the submitter sized the result block for
   // the wrong program.
@@ -242,7 +238,7 @@ Status RegexEngine::RunFunctional(JobParams* params, JobStatus* status,
         const size_t end =
             n * (static_cast<size_t>(shard) + 1) / static_cast<size_t>(shards);
         if (begin == end) return;
-        ProcessingUnit pu(device_);
+        ProcessingUnit pu;
         pu.Configure(program);
         if (streams == 1) {
           for (size_t i = begin; i < end; ++i) {
@@ -352,6 +348,10 @@ void RegexEngine::Finalize() {
     metric_jobs_->Add();
     metric_bytes_->Add(status->bytes_streamed);
 
+    // The device keeps every job's parameter block after the job ends
+    // (FpgaDevice::jobs_); dropping the program here keeps that history
+    // from holding every program ever submitted alive.
+    params->program.reset();
     busy_ = false;
     params_ = nullptr;
     status_ = nullptr;

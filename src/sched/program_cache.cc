@@ -152,9 +152,6 @@ Result<std::shared_ptr<const CachedProgram>> ProgramCache::GetOrCompile(
   auto entry = std::make_shared<CachedProgram>();
   DOPPIO_ASSIGN_OR_RETURN(entry->config,
                           CompileRegexConfig(pattern, device_, options));
-  DOPPIO_ASSIGN_OR_RETURN(
-      entry->program,
-      CompiledPuProgram::Compile(entry->config.vector, device_));
   entry->fingerprint = FingerprintOf(entry->config);
 
   std::lock_guard<std::mutex> lock(mutex_);
@@ -280,9 +277,6 @@ Result<std::shared_ptr<const CachedSetProgram>> ProgramCache::GetOrCompileSet(
   }
   DOPPIO_ASSIGN_OR_RETURN(entry->config,
                           CompileRegexSetConfig(nfas, device_));
-  DOPPIO_ASSIGN_OR_RETURN(
-      entry->program,
-      CompiledPuProgram::Compile(entry->config.vector, device_));
 
   std::lock_guard<std::mutex> lock(mutex_);
   ++set_misses_;

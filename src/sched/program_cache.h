@@ -1,16 +1,20 @@
 // LRU cache of compiled regex programs, shared across queries and tenants.
 //
-// The paper's config-vector compile is cheap (< 1 µs), but the simulator's
-// functional path also compiles a PU kernel program per configuration
-// (hw/pu_kernel) — decode, byte-class partition, possibly literal-stage
-// extraction — and concurrent clients overwhelmingly re-issue the same
-// handful of patterns (the Fig. 11 workload). The cache looks up by
+// The paper's config-vector compile is cheap (< 1 µs), but every
+// configuration the simulator generates also carries its compiled PU
+// program (RegexConfig::program, hw/pu_kernel) — decode, byte-class
+// partition, possibly literal-stage extraction — which device jobs, host
+// slices and the cost model share instead of recompiling. Concurrent
+// clients overwhelmingly re-issue the same handful of patterns (the
+// Fig. 11 workload), so caching the config caches that one compilation
+// too: a cached pattern is generated and compiled once, not once per
+// query. The cache looks up by
 // (pattern, CompileOptions) but stores by the *compiled-program
 // fingerprint* — the canonical config-vector bytes — so textually
 // different patterns that compile to the identical program (e.g. the
 // case-insensitive spellings of one literal) alias onto one LRU slot
 // instead of occupying two. Every alias of a slot promotes and keeps the
-// same immutable RegexConfig + CompiledPuProgram alive; a cache hit
+// same immutable RegexConfig (and with it its program) alive; a cache hit
 // executes the exact same program a cold compile would have produced.
 //
 // The cache also holds *set programs* (docs/PATTERN_SETS.md): union NFAs
@@ -35,18 +39,17 @@
 #include "common/status.h"
 #include "hw/config_compiler.h"
 #include "hw/device_config.h"
-#include "hw/pu_kernel.h"
 #include "regex/matcher.h"
 
 namespace doppio {
 namespace sched {
 
 /// One cached compilation: the configuration vector (what the device
-/// loads) and the compiled PU program (what the functional pass and the
-/// CPU route execute). Immutable once inserted; shared by reference.
+/// loads) with its compiled PU program (config.program — what the
+/// functional pass and the CPU route execute). Immutable once inserted;
+/// shared by reference.
 struct CachedProgram {
   RegexConfig config;
-  std::shared_ptr<const CompiledPuProgram> program;
   /// Canonical identity: the encoded config-vector bytes. Two patterns
   /// with equal fingerprints are semantically identical by construction
   /// (the device consumes nothing but these bytes).
@@ -58,7 +61,6 @@ struct CachedProgram {
 /// reports on output stream k). Immutable once inserted.
 struct CachedSetProgram {
   RegexConfig config;
-  std::shared_ptr<const CompiledPuProgram> program;
   /// Sorted unique member fingerprints; index in this vector = the
   /// member's output stream in the compiled program.
   std::vector<std::string> member_fingerprints;

@@ -312,12 +312,13 @@ Result<QueryTicket> QueryScheduler::Submit(Session* session, const Bat& input,
       TableStats stats;
       stats.rows = input.count();
       stats.heap_bytes = input.heap()->size_bytes();
-      auto fpga_seconds = cost_model_->PredictFpga(request->pattern, stats);
-      // The CPU route runs the registry-chosen host backend on one pool
-      // worker; the prediction knows which backend that is.
-      auto host = cost_model_->PredictHostProgram(request->pattern, stats);
-      if (fpga_seconds.ok() && host.ok() &&
-          host->seconds < *fpga_seconds) {
+      // Both predictions price the program admission just compiled (or
+      // hit in the cache). The CPU route runs the registry-chosen host
+      // backend on one pool worker; the prediction knows which one.
+      const RegexConfig& config = request->program->config;
+      const double fpga_seconds = cost_model_->PredictFpga(config, stats);
+      auto host = cost_model_->PredictHostProgram(config, stats);
+      if (host.ok() && host->seconds < fpga_seconds) {
         request->route = Route::kCpuProgram;
       }
     }
@@ -855,10 +856,9 @@ void QueryScheduler::RunCpuRequest(Request* request) {
         params.heap_bytes = rows < input.count()
                                 ? static_cast<int64_t>(all_offsets[rows])
                                 : input.heap()->size_bytes();
-        params.config = request->program->config.vector.bytes();
+        params.program = request->program->config.program;
         HostSliceInfo info;
-        auto matches = RunHostSlice(hal_->device_config(), params,
-                                    request->program->program, &info);
+        auto matches = RunHostSlice(params, &info);
         if (matches.ok()) {
           out.stats.rows_matched = *matches;
           out.stats.pu_kernel = info.kernel;

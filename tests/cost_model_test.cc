@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "db/cost_model.h"
+#include "hw/config_compiler.h"
 #include "sql/executor.h"
 #include "workload/address_generator.h"
 #include "workload/queries.h"
@@ -37,6 +38,14 @@ TableStats TinyTable() {
   return stats;
 }
 
+// The compiled configuration the predictors price (callers compile once
+// and hand the same RegexConfig to every predictor).
+RegexConfig Compiled(const std::string& pattern) {
+  auto config = CompileRegexConfig(pattern, DeviceConfig{});
+  EXPECT_TRUE(config.ok()) << pattern << ": " << config.status().ToString();
+  return config.ok() ? std::move(*config) : RegexConfig{};
+}
+
 TEST(CostModelTest, MeasureProducesSaneNumbers) {
   auto cal = OperatorCostModel::Measure();
   EXPECT_GT(cal.like_bytes_per_sec, 1e7);
@@ -52,10 +61,11 @@ TEST(CostModelTest, HostProgramPredictionTracksRegistryChoice) {
 
   // Word-sized automaton chain and a literal: both SIMD-served, costed
   // at the SIMD throughput.
-  auto word = model.PredictHostProgram("8[0-9][0-9][0-9][0-9]", BigTable());
+  auto word =
+      model.PredictHostProgram(Compiled("8[0-9][0-9][0-9][0-9]"), BigTable());
   ASSERT_TRUE(word.ok());
   EXPECT_EQ(word->backend, BackendId::kCpuSimd);
-  auto literal = model.PredictHostProgram("Strasse", BigTable());
+  auto literal = model.PredictHostProgram(Compiled("Strasse"), BigTable());
   ASSERT_TRUE(literal.ok());
   EXPECT_EQ(literal->backend, BackendId::kCpuSimd);
   const double simd_expect = static_cast<double>(BigTable().heap_bytes) /
@@ -63,27 +73,30 @@ TEST(CostModelTest, HostProgramPredictionTracksRegistryChoice) {
   EXPECT_DOUBLE_EQ(word->seconds, simd_expect);
 
   // Broad-start fan-out: scalar backend, automaton throughput.
-  auto broad = model.PredictHostProgram("([a-z]a|[0-9]b)", BigTable());
+  auto broad =
+      model.PredictHostProgram(Compiled("([a-z]a|[0-9]b)"), BigTable());
   ASSERT_TRUE(broad.ok());
   EXPECT_EQ(broad->backend, BackendId::kCpuScalar);
   EXPECT_GT(broad->seconds, word->seconds);
 
-  // Over-capacity patterns cannot run as a compiled program at all.
+  // Over-capacity patterns cannot run as a compiled program at all: they
+  // never compile, so there is nothing to price.
   auto oversized =
-      model.PredictHostProgram(QueryPattern(EvalQuery::kQH), BigTable());
+      CompileRegexConfig(QueryPattern(EvalQuery::kQH), DeviceConfig{});
   EXPECT_TRUE(oversized.status().IsCapacityExceeded());
 }
 
 TEST(CostModelTest, ForcedBackendOverridesHostPrediction) {
   OperatorCostModel model(DeviceConfig{}, FixedCalibration());
   setenv("DOPPIO_FORCE_BACKEND", "scalar", 1);
-  auto forced_scalar = model.PredictHostProgram("Strasse", BigTable());
+  auto forced_scalar =
+      model.PredictHostProgram(Compiled("Strasse"), BigTable());
   ASSERT_TRUE(forced_scalar.ok());
   EXPECT_EQ(forced_scalar->backend, BackendId::kCpuScalar);
 
   setenv("DOPPIO_FORCE_BACKEND", "simd", 1);
   auto forced_simd =
-      model.PredictHostProgram("([a-z]a|[0-9]b)", BigTable());
+      model.PredictHostProgram(Compiled("([a-z]a|[0-9]b)"), BigTable());
   ASSERT_TRUE(forced_simd.ok());
   EXPECT_EQ(forced_simd->backend, BackendId::kCpuSimd);
   unsetenv("DOPPIO_FORCE_BACKEND");
@@ -94,16 +107,14 @@ TEST(CostModelTest, PredictionsScaleWithData) {
   EXPECT_GT(model.PredictLike(BigTable()), model.PredictLike(TinyTable()));
   EXPECT_GT(model.PredictRegexpLike(BigTable()),
             model.PredictRegexpLike(TinyTable()));
-  auto fpga_big = model.PredictFpga("Strasse", BigTable());
-  auto fpga_tiny = model.PredictFpga("Strasse", TinyTable());
-  ASSERT_TRUE(fpga_big.ok());
-  ASSERT_TRUE(fpga_tiny.ok());
-  EXPECT_GT(*fpga_big, *fpga_tiny);
+  const RegexConfig config = Compiled("Strasse");
+  EXPECT_GT(model.PredictFpga(config, BigTable()),
+            model.PredictFpga(config, TinyTable()));
 }
 
 TEST(CostModelTest, FpgaPredictionRejectsOversizedPatterns) {
   OperatorCostModel model(DeviceConfig{}, FixedCalibration());
-  auto r = model.PredictFpga(QueryPattern(EvalQuery::kQH), BigTable());
+  auto r = CompileRegexConfig(QueryPattern(EvalQuery::kQH), DeviceConfig{});
   EXPECT_TRUE(r.status().IsCapacityExceeded());
   // ... but the hybrid prediction still works.
   auto h = model.PredictHybrid(QueryPattern(EvalQuery::kQH), BigTable());

@@ -390,7 +390,7 @@ TEST(DevicePoolTest, DeadlineBudgetComesFromTheJobsOwnDevice) {
   params.count = input.count();
   params.offset_width = static_cast<int32_t>(input.offset_width());
   params.heap_bytes = input.heap()->size_bytes();
-  params.config = config->vector.bytes();
+  params.program = config->program;
   params.timing_only = true;  // budgets depend on sizes, not results
 
   RetryPolicy policy;

@@ -145,7 +145,7 @@ TEST(HalTest2, QueueBackpressureSurfacesAsError) {
     params.result = result.mutable_tail_data();
     params.count = 1;
     params.heap_bytes = strings.heap()->size_bytes();
-    params.config = cfg->vector.bytes();
+    params.program = cfg->program;
     auto job = device.Submit(std::move(params));
     if (job.ok()) {
       ++accepted;
@@ -168,7 +168,7 @@ TEST(HalTest2, QueueBackpressureSurfacesAsError) {
   params.result = result.mutable_tail_data();
   params.count = 1;
   params.heap_bytes = strings.heap()->size_bytes();
-  params.config = cfg->vector.bytes();
+  params.program = cfg->program;
   EXPECT_TRUE(device.Submit(std::move(params)).ok());
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "bat/bat.h"
@@ -33,7 +34,7 @@ JobParams MakeJob(const Bat& input, Bat* result,
   params.count = input.count();
   params.offset_width = 4;
   params.heap_bytes = input.heap()->size_bytes();
-  params.config = config.vector.bytes();
+  params.program = config.program;
   return params;
 }
 
@@ -395,8 +396,75 @@ TEST(FpgaDeviceTest, RejectsBadJobs) {
 
   JobParams params2;
   params2.count = 10;  // null pointers
-  params2.config = {0xFF};
   EXPECT_FALSE(fpga.Submit(std::move(params2)).ok());
+
+  // A well-formed job without a compiled program.
+  auto bat = MakeStrings({"Strasse"});
+  Bat result(ValueType::kInt16);
+  ASSERT_TRUE(result.AppendZeros(1).ok());
+  auto config = CompileRegexConfig("Strasse", device);
+  ASSERT_TRUE(config.ok());
+  JobParams params3 = MakeJob(*bat, &result, *config);
+  params3.program = nullptr;
+  auto job = fpga.Submit(std::move(params3));
+  EXPECT_TRUE(job.status().IsInvalidArgument()) << job.status().ToString();
+}
+
+TEST(FpgaDeviceTest, RejectsProgramBeyondDeviceGeometryAtSubmit) {
+  // Compiled for a 32-state deployment, submitted to the default 8-state
+  // device: the engines could not load it, so Submit refuses it.
+  DeviceConfig wide;
+  wide.max_states = 32;
+  auto config = CompileRegexConfig("a.*b.*c.*d.*e.*f.*g.*h.*i.*j", wide);
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  ASSERT_GT(config->states_used, DeviceConfig{}.max_states);
+
+  DeviceConfig device;
+  FpgaDevice fpga(device);
+  auto bat = MakeStrings({"abcdefghij"});
+  Bat result(ValueType::kInt16);
+  ASSERT_TRUE(result.AppendZeros(1).ok());
+  auto job = fpga.Submit(MakeJob(*bat, &result, *config));
+  EXPECT_TRUE(job.status().IsCapacityExceeded()) << job.status().ToString();
+}
+
+TEST(FpgaDeviceTest, RunsTheProgramItIsHanded) {
+  // The engine executes the job's program as compiled: a forced nfa-loop
+  // compilation of a literal runs as nfa-loop, with results byte-equal to
+  // the default literal kernel's.
+  auto bat = MakeStrings({
+      "John|Smith|44 Koblenzer Strasse|60327|Frankfurt",
+      "Anna|Meier|7 Berner Gasse|10115|Berlin",
+      "Karl|Huber|1 Wiener Strasse|80331|Muenchen",
+  });
+  DeviceConfig device;
+  FpgaDevice fpga(device);
+  auto config = CompileRegexConfig("Strasse", device);
+  ASSERT_TRUE(config.ok());
+  PuKernelOptions forced;
+  forced.force = PuKernelOptions::Force::kNfaLoop;
+  auto nfa_loop = CompiledPuProgram::Compile(config->vector, device, forced);
+  ASSERT_TRUE(nfa_loop.ok());
+
+  Bat literal_result(ValueType::kInt16);
+  Bat nfa_loop_result(ValueType::kInt16);
+  ASSERT_TRUE(literal_result.AppendZeros(bat->count()).ok());
+  ASSERT_TRUE(nfa_loop_result.AppendZeros(bat->count()).ok());
+  auto literal_job = fpga.Submit(MakeJob(*bat, &literal_result, *config));
+  JobParams params = MakeJob(*bat, &nfa_loop_result, *config);
+  params.program = *nfa_loop;
+  auto nfa_loop_job = fpga.Submit(std::move(params));
+  ASSERT_TRUE(literal_job.ok());
+  ASSERT_TRUE(nfa_loop_job.ok());
+  fpga.RunToIdle();
+
+  EXPECT_STREQ(fpga.status(*literal_job)->pu_kernel, "literal");
+  EXPECT_STREQ(fpga.status(*nfa_loop_job)->pu_kernel, "nfa-loop");
+  EXPECT_EQ(fpga.status(*nfa_loop_job)->matches, 2);
+  EXPECT_EQ(std::memcmp(literal_result.tail_data(),
+                        nfa_loop_result.tail_data(),
+                        static_cast<size_t>(bat->count()) * 2),
+            0);
 }
 
 TEST(FpgaDeviceTest, EnforcesSharedMemoryBounds) {

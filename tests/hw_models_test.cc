@@ -147,7 +147,7 @@ TEST(PerfModelTest, AgreesWithDiscreteEventSimulation) {
   params.result = scratch.mutable_tail_data();
   params.count = strings->count();
   params.heap_bytes = heap_bytes;
-  params.config = config->vector.bytes();
+  params.program = config->program;
   params.timing_only = true;
   auto job = fpga.Submit(std::move(params));
   ASSERT_TRUE(job.ok());

@@ -21,8 +21,11 @@ Result<ProcessingUnit> MakePu(const std::string& pattern,
                               const CompileOptions& opts = {}) {
   DOPPIO_ASSIGN_OR_RETURN(RegexConfig config,
                           CompileRegexConfig(pattern, BigDevice(), opts));
-  ProcessingUnit pu(BigDevice());
-  DOPPIO_RETURN_NOT_OK(pu.Configure(config.vector));
+  ProcessingUnit pu;
+  DOPPIO_ASSIGN_OR_RETURN(
+      std::shared_ptr<const CompiledPuProgram> program,
+      CompiledPuProgram::Compile(config.vector, BigDevice()));
+  pu.Configure(std::move(program));
   return pu;
 }
 
@@ -40,17 +43,21 @@ TEST(ProcessingUnitTest, ReconfigurableAtRuntime) {
   // The same PU instance evaluates different expressions without any
   // "re-synthesis" — the paper's core property.
   DeviceConfig device = BigDevice();
-  ProcessingUnit pu(device);
+  ProcessingUnit pu;
 
   auto c1 = CompileRegexConfig("abc", device);
   ASSERT_TRUE(c1.ok());
-  ASSERT_TRUE(pu.Configure(c1->vector).ok());
+  auto p1 = CompiledPuProgram::Compile(c1->vector, device);
+  ASSERT_TRUE(p1.ok());
+  pu.Configure(*p1);
   EXPECT_NE(pu.ProcessString("zzabczz"), 0);
   EXPECT_EQ(pu.ProcessString("zzxyzzz"), 0);
 
   auto c2 = CompileRegexConfig("xyz", device);
   ASSERT_TRUE(c2.ok());
-  ASSERT_TRUE(pu.Configure(c2->vector).ok());
+  auto p2 = CompiledPuProgram::Compile(c2->vector, device);
+  ASSERT_TRUE(p2.ok());
+  pu.Configure(*p2);
   EXPECT_EQ(pu.ProcessString("zzabczz"), 0);
   EXPECT_NE(pu.ProcessString("zzxyzzz"), 0);
 }
@@ -58,10 +65,11 @@ TEST(ProcessingUnitTest, ReconfigurableAtRuntime) {
 TEST(ProcessingUnitTest, RejectsOverCapacityConfig) {
   DeviceConfig small;
   small.max_chars = 4;
-  ProcessingUnit pu(small);
   auto config = CompileRegexConfig("toolong", BigDevice());
   ASSERT_TRUE(config.ok());
-  EXPECT_TRUE(pu.Configure(config->vector).IsCapacityExceeded());
+  EXPECT_TRUE(CompiledPuProgram::Compile(config->vector, small)
+                  .status()
+                  .IsCapacityExceeded());
 }
 
 TEST(ProcessingUnitTest, CyclesEqualBytesConsumed) {

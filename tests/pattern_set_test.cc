@@ -217,7 +217,7 @@ TEST(PatternSetPropertyTest, PuKernelsMatchSoloRunsPerStream) {
       ASSERT_TRUE(set_program.ok()) << set_program.status().ToString();
       EXPECT_EQ((*set_program)->num_patterns(),
                 static_cast<int>(subset.size()));
-      ProcessingUnit set_pu(WideDevice());
+      ProcessingUnit set_pu;
       set_pu.Configure(*set_program);
 
       std::vector<std::unique_ptr<ProcessingUnit>> solo;
@@ -225,7 +225,7 @@ TEST(PatternSetPropertyTest, PuKernelsMatchSoloRunsPerStream) {
         auto program =
             CompiledPuProgram::Compile(member.vector, WideDevice(), options);
         ASSERT_TRUE(program.ok());
-        solo.push_back(std::make_unique<ProcessingUnit>(WideDevice()));
+        solo.push_back(std::make_unique<ProcessingUnit>());
         solo.back()->Configure(*program);
       }
       std::vector<uint16_t> match(subset.size());

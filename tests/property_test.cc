@@ -84,7 +84,7 @@ TEST(PropertyTest, HardwareAgreesWithSoftwareOnRandomPatterns) {
   DeviceConfig device;
   device.max_chars = 64;
   device.max_states = 32;
-  ProcessingUnit pu(device);
+  ProcessingUnit pu;
   const std::string alphabet = "abcxyz019 ";
   int mapped = 0;
   for (int p = 0; p < 60; ++p) {
@@ -92,7 +92,9 @@ TEST(PropertyTest, HardwareAgreesWithSoftwareOnRandomPatterns) {
     auto config = CompileRegexConfig(pattern, device);
     if (!config.ok()) continue;  // e.g. trivially-true pattern
     ++mapped;
-    ASSERT_TRUE(pu.Configure(config->vector).ok()) << pattern;
+    auto program = CompiledPuProgram::Compile(config->vector, device);
+    ASSERT_TRUE(program.ok()) << pattern;
+    pu.Configure(*program);
     auto dfa = DfaMatcher::Compile(pattern);
     ASSERT_TRUE(dfa.ok());
     TokenNfaMatcher reference(config->nfa);

@@ -32,7 +32,7 @@ Result<std::shared_ptr<const CompiledPuProgram>> CompileKernel(
 }
 
 ProcessingUnit MakePu(std::shared_ptr<const CompiledPuProgram> program) {
-  ProcessingUnit pu(BigDevice());
+  ProcessingUnit pu;
   pu.Configure(std::move(program));
   return pu;
 }

@@ -142,8 +142,10 @@ TEST_P(ConformanceTest, HardwarePathAgreesWhenMappable) {
   EXPECT_EQ(reference.Find(c.input).matched, c.matched)
       << c.pattern << " on '" << c.input << "'";
 
-  ProcessingUnit pu(device);
-  ASSERT_TRUE(pu.Configure(config->vector).ok());
+  ProcessingUnit pu;
+  auto program = CompiledPuProgram::Compile(config->vector, device);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  pu.Configure(*program);
   EXPECT_EQ(pu.ProcessString(c.input) != 0, c.matched)
       << c.pattern << " on '" << c.input << "'";
 }
@@ -169,7 +171,7 @@ TEST_P(ConformanceTest, AllCompiledKernelsAgreeWhenMappable) {
     kopts.force = force;
     auto program = CompiledPuProgram::Compile(config->vector, device, kopts);
     ASSERT_TRUE(program.ok()) << c.pattern;
-    ProcessingUnit pu(device);
+    ProcessingUnit pu;
     pu.Configure(*program);
     const uint16_t index = pu.ProcessString(c.input);
     EXPECT_EQ(index != 0, c.matched)

@@ -389,13 +389,31 @@ TEST(SchedStressTest, SetCompiledWavesUnderConcurrency) {
 
   std::atomic<int> completed{0};
   std::atomic<int> failures{0};
+  // First round: every thread queues its query before any thread waits,
+  // so the first wave holds several distinct patterns however fast waves
+  // run. Later rounds overlap only as the threads happen to interleave
+  // (a short wave can let one thread run all its queries alone).
+  std::atomic<int> first_round_queued{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kQueriesPerThread; ++i) {
         const int p = (t + i) % 4;
         Result<sched::ScheduledResult> result = Status::Internal("unset");
-        for (int attempt = 0; attempt < 100; ++attempt) {
+        if (i == 0) {
+          auto ticket = scheduler.Submit(sessions[static_cast<size_t>(t)],
+                                         input, kPatterns[p]);
+          first_round_queued.fetch_add(1);
+          while (first_round_queued.load() < kThreads) {
+            std::this_thread::yield();
+          }
+          if (ticket.ok()) {
+            result = scheduler.Wait(*ticket);
+          } else {
+            result = ticket.status();
+          }
+        }
+        for (int attempt = 0; i > 0 && attempt < 100; ++attempt) {
           result = scheduler.Execute(sessions[static_cast<size_t>(t)], input,
                                      kPatterns[p]);
           if (!result.ok() && result.status().IsOverloaded()) {
