@@ -1,16 +1,13 @@
 #include "hw/regex_engine.h"
 
 #include <atomic>
-
 #include <string>
 
-#include "common/logging.h"
 #include "common/stopwatch.h"
-#include "hw/fifo.h"
-#include "obs/json.h"
-#include "hw/pu_kernel.h"
+#include "hw/kernel_backend.h"
 #include "hw/output_collector.h"
 #include "hw/string_reader.h"
+#include "obs/json.h"
 
 namespace doppio {
 
@@ -30,7 +27,6 @@ RegexEngine::RegexEngine(int id, const DeviceConfig& device, Arbiter* arbiter,
   metric_functional_mbps_ = registry.GetHistogram(
       "doppio.engine.functional_mbps", obs::MbpsBuckets(),
       "functional-pass host throughput per job, all engines");
-  pus_.resize(static_cast<size_t>(device_.pus_per_engine));
 }
 
 Status RegexEngine::Start(JobParams* params, JobStatus* status,
@@ -128,9 +124,6 @@ void RegexEngine::BuildChunks() {
 
 Status RegexEngine::RunFunctional(JobParams* params, JobStatus* status,
                                   std::vector<BlockTiming>* blocks) {
-  // Every PU (and every worker thread) shares the job's immutable
-  // program — they all evaluate the same expression; parallelism is
-  // across tuples.
   const std::shared_ptr<const CompiledPuProgram>& program = params->program;
   // A set-compiled config carries its stream count redundantly in the job
   // parameters; a mismatch means the submitter sized the result block for
@@ -139,9 +132,9 @@ Status RegexEngine::RunFunctional(JobParams* params, JobStatus* status,
   if (params->streams != streams) {
     return Status::Internal("job streams do not match the compiled program");
   }
-  for (ProcessingUnit& pu : pus_) {
-    pu.Configure(program);
-  }
+  const size_t width = static_cast<size_t>(streams);
+  // The device's PUs run the program's compiled kernel; that is what the
+  // job reports. The host kernel below only computes the same results.
   status->pu_kernel = PuKernelName(program->kernel());
   switch (program->kernel()) {
     case PuKernelKind::kLiteral: stats_.literal_jobs += 1; break;
@@ -149,112 +142,57 @@ Status RegexEngine::RunFunctional(JobParams* params, JobStatus* status,
     case PuKernelKind::kNfaLoop: stats_.nfa_loop_jobs += 1; break;
   }
 
+  // Every PU evaluates the same program and results leave in input order,
+  // so the functional pass is a plain host execution of the program over
+  // contiguous shards, on whichever bit-identical backend the registry
+  // picks. Each shard builds its execution on first use and keeps it (and
+  // its DFA cache) for the job's remaining blocks.
+  const KernelBackend& backend = BackendRegistry::Global().ChooseHost(*program);
+  const int shards = pool_ != nullptr && pool_->num_threads() > 1 &&
+                             params->count >= kParallelThreshold
+                         ? pool_->num_threads()
+                         : 1;
+  std::vector<std::unique_ptr<HostExecution>> executions(
+      static_cast<size_t>(shards));
+
   StringReader reader(*params);
   OutputCollector collector(*params);
 
-  const bool parallel =
-      pool_ != nullptr && params->count >= kParallelThreshold;
-
   Stopwatch functional_clock;
   int64_t functional_bytes = 0;
+  std::vector<uint16_t> results;
   while (reader.HasMore()) {
     DOPPIO_ASSIGN_OR_RETURN(StringReader::Block block, reader.ReadBlock());
     blocks->push_back(BlockTiming{block.offset_lines, block.heap_lines,
                                   block.string_bytes});
-
-    const int npus = device_.pus_per_engine;
     if (params->timing_only) continue;  // traffic model only
     functional_bytes += block.string_bytes;
-    std::vector<uint16_t> results(block.strings.size() *
-                                  static_cast<size_t>(streams));
-    if (!parallel && streams > 1) {
-      // Set-compiled job on the structural path: the result lane carries
-      // `streams` 16-bit indexes per string instead of one, so the FIFO
-      // emulation below (one value per lane slot) does not apply; the
-      // round-robin PU assignment alone preserves input order.
-      const size_t n = block.strings.size();
-      for (size_t i = 0; i < n; ++i) {
-        pus_[i % static_cast<size_t>(npus)].ProcessStringSet(
-            block.strings[i], &results[i * static_cast<size_t>(streams)]);
-      }
-    } else if (!parallel) {
-      // Structural path (Fig. 4): the reader scatters strings round-robin
-      // into cache-line-wide input FIFOs, PUs consume, and the Output
-      // Collector gathers 16-bit indexes from the result FIFOs in the
-      // same round-robin order — which is what guarantees results leave
-      // in input order.
-      constexpr size_t kFifoDepth = 8;  // strings buffered per PU
-      std::vector<Fifo<std::string_view>> input_fifos;
-      std::vector<Fifo<uint16_t>> result_fifos;
-      input_fifos.reserve(static_cast<size_t>(npus));
-      result_fifos.reserve(static_cast<size_t>(npus));
-      for (int p = 0; p < npus; ++p) {
-        input_fifos.emplace_back(kFifoDepth);
-        result_fifos.emplace_back(kFifoDepth);
-      }
-      const size_t n = block.strings.size();
-      size_t next_in = 0;
-      size_t next_out = 0;
-      while (next_out < n) {
-        // Reader: scatter until the next target FIFO back-pressures.
-        while (next_in < n &&
-               input_fifos[next_in % static_cast<size_t>(npus)].Push(
-                   block.strings[next_in])) {
-          ++next_in;
-        }
-        // PUs: each consumes one buffered string if its result lane has
-        // room.
-        for (int p = 0; p < npus; ++p) {
-          auto& in = input_fifos[static_cast<size_t>(p)];
-          auto& res = result_fifos[static_cast<size_t>(p)];
-          std::string_view s;
-          if (!res.Full() && in.Pop(&s)) {
-            bool pushed =
-                res.Push(pus_[static_cast<size_t>(p)].ProcessString(s));
-            DOPPIO_CHECK(pushed);
-          }
-        }
-        // Collector: gather strictly round-robin (order preservation).
-        while (next_out < n) {
-          uint16_t r;
-          if (!result_fifos[next_out % static_cast<size_t>(npus)].Pop(&r)) {
-            break;
-          }
-          results[next_out] = r;
-          ++next_out;
-        }
-      }
-    } else {
-      // Host-parallel fast path: each worker thread gets its own PU (own
-      // dynamic state and lazy-DFA cache) referencing the shared compiled
-      // program, and processes a contiguous range of the block. Every PU
-      // runs the same program, so the results are identical to the
-      // structural round-robin path.
-      const int shards = pool_->num_threads();
-      const size_t n = block.strings.size();
-      pool_->ParallelFor(shards, [&](int shard) {
-        const size_t begin =
-            n * static_cast<size_t>(shard) / static_cast<size_t>(shards);
-        const size_t end =
-            n * (static_cast<size_t>(shard) + 1) / static_cast<size_t>(shards);
-        if (begin == end) return;
-        ProcessingUnit pu;
-        pu.Configure(program);
+    const size_t n = block.strings.size();
+    results.resize(n * width);
+    auto run_shard = [&](int shard) {
+      const size_t begin = n * static_cast<size_t>(shard) /
+                           static_cast<size_t>(shards);
+      const size_t end = n * (static_cast<size_t>(shard) + 1) /
+                         static_cast<size_t>(shards);
+      if (begin == end) return;
+      std::unique_ptr<HostExecution>& exec =
+          executions[static_cast<size_t>(shard)];
+      if (exec == nullptr) exec = backend.NewExecution(program);
+      for (size_t i = begin; i < end; ++i) {
         if (streams == 1) {
-          for (size_t i = begin; i < end; ++i) {
-            results[i] = pu.ProcessString(block.strings[i]);
-          }
+          results[i] = exec->Match(block.strings[i]);
         } else {
-          for (size_t i = begin; i < end; ++i) {
-            pu.ProcessStringSet(block.strings[i],
-                                &results[i * static_cast<size_t>(streams)]);
-          }
+          exec->MatchSet(block.strings[i], &results[i * width]);
         }
-      });
+      }
+    };
+    if (shards == 1) {
+      run_shard(0);
+    } else {
+      pool_->ParallelFor(shards, run_shard);
     }
-    for (size_t i = 0; i < block.strings.size(); ++i) {
-      DOPPIO_RETURN_NOT_OK(collector.AppendSet(
-          &results[i * static_cast<size_t>(streams)], streams));
+    for (size_t i = 0; i < n; ++i) {
+      DOPPIO_RETURN_NOT_OK(collector.AppendSet(&results[i * width], streams));
     }
   }
 

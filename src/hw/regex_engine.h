@@ -1,16 +1,15 @@
 // Regex Engine (paper §5): String Reader -> 16 PUs -> Output Collector.
 //
 // Execution is split into two coupled passes over the same block structure:
-//  * the *functional* pass distributes the block's strings round-robin over
-//    the PUs through the input FIFOs and collects the 16-bit match indexes
-//    in order (bit-exact results, written into the result column);
+//  * the *functional* pass computes the block's 16-bit match indexes
+//    (bit-exact results, written into the result column in input order).
+//    It is a host-backend client: the job runs the registry-chosen host
+//    kernel (hw/kernel_backend) over the program, which is bit-identical
+//    to the PUs' compiled kernel by construction;
 //  * the *timing* pass replays the block's cache-line traffic (offset
 //    phase, heap phase, result lines) through the arbiter/QPI model on the
-//    virtual clock, and paces the PUs at one byte per 400 MHz cycle.
-//
-// For large jobs the functional pass can fan out across host threads —
-// a simulator implementation detail; results are identical to the
-// single-threaded structural path (asserted by tests).
+//    virtual clock, and paces the PUs at one byte per 400 MHz cycle. The
+//    reader's round-robin over the PUs and their FIFOs live only here.
 #pragma once
 
 #include <functional>
@@ -24,7 +23,6 @@
 #include "hw/arbiter.h"
 #include "hw/device_config.h"
 #include "hw/job.h"
-#include "hw/processing_unit.h"
 #include "hw/trace.h"
 #include "obs/metrics.h"
 
@@ -69,8 +67,9 @@ class RegexEngine {
   /// Records per-chunk traffic events (may be null to disable).
   void set_trace(TraceLog* trace) { trace_ = trace; }
 
-  /// Strings-per-host-thread threshold above which the functional pass
-  /// parallelizes.
+  /// Job size (strings) from which the functional pass shards each block
+  /// over the thread pool; smaller jobs, and every job on a pool-less or
+  /// single-thread device, run as one inline shard.
   static constexpr int64_t kParallelThreshold = 1 << 16;
 
  private:
@@ -100,8 +99,6 @@ class RegexEngine {
   Arbiter* arbiter_;
   SimScheduler* scheduler_;
   ThreadPool* pool_;
-
-  std::vector<ProcessingUnit> pus_;
 
   // In-flight job state.
   bool busy_ = false;

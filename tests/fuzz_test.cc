@@ -1,10 +1,22 @@
 // Robustness fuzzing: random and mutated inputs must produce clean Status
-// errors, never crashes, hangs or invalid states.
+// errors, never crashes, hangs or invalid states. The last test is a
+// differential one: the device's functional pass against independent
+// oracles on random programs and corpora.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <memory>
+#include <optional>
+#include <set>
+
+#include "bat/bat.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "hw/config_compiler.h"
 #include "hw/config_vector.h"
+#include "hw/fpga_device.h"
+#include "hw/kernel_backend.h"
 #include "regex/dfa_matcher.h"
 #include "regex/like_translator.h"
 #include "regex/pattern_parser.h"
@@ -157,6 +169,235 @@ TEST(FuzzTest, ExtractorNeverProducesInvalidNfa) {
       ASSERT_TRUE(encoded.ok()) << pattern;
       EXPECT_TRUE(encoded->Decode().ok()) << pattern;
     }
+  }
+}
+
+// Random hardware-mappable patterns: literal and class tokens glued by
+// adjacency or '.*' gaps, with alternations and class repetitions.
+std::string RandomDevicePattern(Rng* rng) {
+  auto token = [&] {
+    switch (rng->NextBounded(5)) {
+      case 0:
+        return rng->FromAlphabet("abc", 1 + rng->NextBounded(3));
+      case 1:
+        return std::string("[a-c]");
+      case 2:
+        return std::string("[0-9]");
+      case 3:
+        return std::string("[0-9]+");
+      default:
+        return rng->FromAlphabet("xyz", 1 + rng->NextBounded(2));
+    }
+  };
+  std::string pattern;
+  const int segments = 1 + static_cast<int>(rng->NextBounded(3));
+  for (int s = 0; s < segments; ++s) {
+    if (s > 0 && rng->Bernoulli(0.5)) pattern += ".*";
+    if (rng->Bernoulli(0.3)) {
+      pattern += '(';
+      pattern += token();
+      pattern += '|';
+      pattern += token();
+      pattern += ')';
+    } else {
+      pattern += token();
+    }
+  }
+  return pattern;
+}
+
+// Short random rows plus three rows of 65534, 65535 and 65536 bytes whose
+// only matchable bytes are a random tail, so their first match ends right
+// at the 16-bit index's saturation point.
+std::unique_ptr<Bat> RandomCorpus(Rng* rng, int short_rows) {
+  const std::string alphabet = "abcxyz019 ";
+  std::vector<std::string> rows;
+  for (int i = 0; i < short_rows; ++i) {
+    rows.push_back(rng->FromAlphabet(alphabet, rng->NextBounded(40)));
+  }
+  for (size_t length : {65534u, 65535u, 65536u}) {
+    std::string tail = rng->FromAlphabet(alphabet, 24);
+    std::string row(length - tail.size(), '-');
+    row += tail;
+    rows.insert(rows.begin() + static_cast<long>(
+                                   rng->NextBounded(rows.size() + 1)),
+                std::move(row));
+  }
+  auto bat = std::make_unique<Bat>(ValueType::kString);
+  for (const std::string& row : rows) {
+    EXPECT_TRUE(bat->AppendString(row).ok());
+  }
+  return bat;
+}
+
+// A compiled program with its per-stream oracle: stream p of a set must
+// equal member p compiled alone, which DfaMatcher gives independently.
+struct DeviceCase {
+  std::string name;
+  RegexConfig config;
+  std::vector<const DfaMatcher*> oracles;  // one per stream
+};
+
+// Expected result block (count x streams, row-major) of `c` over `input`:
+// the first match's end, 1-based and saturated at 65535, or 0.
+std::vector<uint16_t> OracleResults(const DeviceCase& c, const Bat& input) {
+  const size_t streams = c.oracles.size();
+  std::vector<uint16_t> expect(static_cast<size_t>(input.count()) * streams);
+  for (int64_t i = 0; i < input.count(); ++i) {
+    for (size_t p = 0; p < streams; ++p) {
+      const MatchResult m = c.oracles[p]->Find(input.GetString(i));
+      expect[static_cast<size_t>(i) * streams + p] =
+          m.matched ? static_cast<uint16_t>(std::min<int32_t>(m.end, 65535))
+                    : 0;
+    }
+  }
+  return expect;
+}
+
+void ExpectSameResults(const std::vector<uint16_t>& got,
+                       const std::vector<uint16_t>& expect,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), expect.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i] != expect[i]) {
+      ADD_FAILURE() << what << ": first mismatch at index " << i << " got "
+                    << got[i] << " want " << expect[i];
+      return;
+    }
+  }
+}
+
+// Runs `c` over `input` as one job on `fpga`, and as a host slice over the
+// same JobParams; checks both against the oracle block.
+void CheckDeviceJob(FpgaDevice* fpga, const Bat& input, const DeviceCase& c,
+                    const std::vector<uint16_t>& expect,
+                    const std::string& what, std::set<std::string>* kernels) {
+  JobParams params;
+  params.offsets = input.tail_data();
+  params.heap = input.heap()->data();
+  params.count = input.count();
+  params.offset_width = 4;
+  params.heap_bytes = input.heap()->size_bytes();
+  params.program = c.config.program;
+  params.streams = c.config.program->num_patterns();
+
+  std::vector<uint16_t> device(expect.size(), 0xBEEF);
+  params.result = reinterpret_cast<uint8_t*>(device.data());
+  auto job = fpga->Submit(params);
+  ASSERT_TRUE(job.ok()) << what << ": " << job.status().ToString();
+  ASSERT_TRUE(fpga->WaitForJob(*job).ok()) << what;
+  ExpectSameResults(device, expect, what + " device " + c.name);
+
+  std::vector<uint16_t> host(expect.size(), 0xBEEF);
+  params.result = reinterpret_cast<uint8_t*>(host.data());
+  HostSliceInfo info;
+  auto matches = RunHostSlice(params, &info);
+  ASSERT_TRUE(matches.ok()) << what << ": " << matches.status().ToString();
+  ExpectSameResults(host, expect, what + " host slice " + c.name);
+  kernels->insert(info.kernel);
+}
+
+TEST(FuzzTest, FunctionalPassMatchesOraclesOnEveryBackend) {
+  const char* env = std::getenv("DOPPIO_FORCE_BACKEND");
+  const std::optional<std::string> saved =
+      env != nullptr ? std::optional<std::string>(env) : std::nullopt;
+
+  DeviceConfig device;
+  device.max_chars = 64;
+  device.max_states = 32;
+  Rng rng(31337);
+
+  // Single-pattern programs, then 2-3 member sets drawn from them.
+  std::vector<std::unique_ptr<DfaMatcher>> matchers;
+  std::vector<DeviceCase> cases;
+  while (cases.size() < 24) {
+    const std::string pattern = RandomDevicePattern(&rng);
+    auto config = CompileRegexConfig(pattern, device);
+    if (!config.ok()) continue;
+    auto dfa = DfaMatcher::Compile(pattern);
+    ASSERT_TRUE(dfa.ok()) << pattern;
+    matchers.push_back(std::move(*dfa));
+    cases.push_back(DeviceCase{pattern, std::move(*config),
+                               {matchers.back().get()}});
+  }
+  const size_t singles = cases.size();
+  for (int attempt = 0; attempt < 40 && cases.size() < singles + 8;
+       ++attempt) {
+    const size_t members = 2 + rng.NextBounded(2);
+    std::vector<size_t> picks;
+    while (picks.size() < members) {
+      const size_t k = rng.NextBounded(singles);
+      if (std::find(picks.begin(), picks.end(), k) == picks.end()) {
+        picks.push_back(k);
+      }
+    }
+    std::vector<const TokenNfa*> nfas;
+    DeviceCase set;
+    for (size_t k : picks) {
+      nfas.push_back(&cases[k].config.nfa);
+      set.name += (set.name.empty() ? "{" : ", ") + cases[k].name;
+      set.oracles.push_back(cases[k].oracles[0]);
+    }
+    set.name += "}";
+    auto config = CompileRegexSetConfig(nfas, device);
+    if (!config.ok()) continue;  // merged program over capacity
+    set.config = std::move(*config);
+    cases.push_back(std::move(set));
+  }
+  ASSERT_GE(cases.size(), singles + 4);
+
+  // The serial corpus runs every program; the sharded one (above the
+  // parallel threshold) a few singles and a few sets.
+  std::unique_ptr<Bat> small = RandomCorpus(&rng, 300);
+  std::unique_ptr<Bat> large = RandomCorpus(
+      &rng, static_cast<int>(RegexEngine::kParallelThreshold) + 500);
+  std::vector<const DeviceCase*> sharded = {&cases[0], &cases[1],
+                                            &cases[2], &cases[singles],
+                                            &cases[singles + 1]};
+  std::vector<std::vector<uint16_t>> small_expect;
+  for (const DeviceCase& c : cases) {
+    small_expect.push_back(OracleResults(c, *small));
+  }
+  std::vector<std::vector<uint16_t>> large_expect;
+  for (const DeviceCase* c : sharded) {
+    large_expect.push_back(OracleResults(*c, *large));
+  }
+
+  ThreadPool pool(3);
+  for (const char* forced : {"", "scalar", "simd"}) {
+    if (forced[0] == '\0') {
+      unsetenv("DOPPIO_FORCE_BACKEND");
+    } else {
+      setenv("DOPPIO_FORCE_BACKEND", forced, 1);
+    }
+    const std::string what =
+        std::string("backend ") + (forced[0] == '\0' ? "unforced" : forced);
+    std::set<std::string> kernels;
+    FpgaDevice serial(device);
+    for (size_t i = 0; i < cases.size(); ++i) {
+      CheckDeviceJob(&serial, *small, cases[i], small_expect[i],
+                     what + " serial", &kernels);
+    }
+    FpgaDevice parallel(device, nullptr, &pool);
+    for (size_t i = 0; i < sharded.size(); ++i) {
+      CheckDeviceJob(&parallel, *large, *sharded[i], large_expect[i],
+                     what + " sharded", &kernels);
+    }
+    if (forced[0] == '\0') {
+      // The random programs must reach the accelerated host kernels, not
+      // only their scalar fallbacks.
+      EXPECT_TRUE(kernels.count("bit-parallel")) << what;
+      EXPECT_TRUE(kernels.count("dfa+prefilter")) << what;
+    } else if (std::string(forced) == "scalar") {
+      EXPECT_FALSE(kernels.count("bit-parallel")) << what;
+      EXPECT_FALSE(kernels.count("dfa+prefilter")) << what;
+    }
+  }
+
+  if (saved.has_value()) {
+    setenv("DOPPIO_FORCE_BACKEND", saved->c_str(), 1);
+  } else {
+    unsetenv("DOPPIO_FORCE_BACKEND");
   }
 }
 

@@ -6,7 +6,6 @@
 #include "bat/bat.h"
 #include "common/random.h"
 #include "hw/config_compiler.h"
-#include "hw/fifo.h"
 #include "hw/fpga_device.h"
 #include "hw/output_collector.h"
 #include "hw/string_reader.h"
@@ -36,25 +35,6 @@ JobParams MakeJob(const Bat& input, Bat* result,
   params.heap_bytes = input.heap()->size_bytes();
   params.program = config.program;
   return params;
-}
-
-TEST(FifoTest, BoundedWithStallAccounting) {
-  Fifo<int> fifo(2);
-  EXPECT_TRUE(fifo.Empty());
-  EXPECT_TRUE(fifo.Push(1));
-  EXPECT_TRUE(fifo.Push(2));
-  EXPECT_TRUE(fifo.Full());
-  EXPECT_FALSE(fifo.Push(3));  // back-pressure
-  EXPECT_EQ(fifo.push_stalls(), 1);
-  int v = 0;
-  EXPECT_TRUE(fifo.Pop(&v));
-  EXPECT_EQ(v, 1);  // FIFO order
-  EXPECT_TRUE(fifo.Pop(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(fifo.Pop(&v));  // empty
-  EXPECT_EQ(fifo.pop_stalls(), 1);
-  EXPECT_EQ(fifo.total_pushed(), 2);
-  EXPECT_EQ(fifo.max_occupancy(), 2u);
 }
 
 TEST(StringReaderTest, BlockStructureAndTraffic) {
@@ -240,11 +220,12 @@ TEST(FpgaDeviceTest, DifferentQueriesRunConcurrently) {
 }
 
 TEST(FpgaDeviceTest, StructuralAndParallelFunctionalPathsAgree) {
-  // The FIFO-mediated structural path (used below the parallel threshold)
-  // and the host-parallel fast path must produce identical result BATs.
+  // The serial functional pass (one inline shard: no pool, or a job below
+  // the parallel threshold) and the pool-parallel one (contiguous shards,
+  // one host execution each) must produce identical result BATs.
   AddressDataOptions opts;
   // Above RegexEngine::kParallelThreshold so the pool-enabled device
-  // takes the host-parallel fast path; the pool-less one is structural.
+  // shards over its threads; the pool-less one runs serially.
   opts.num_records = 70'000;
   auto table = GenerateAddressTable(opts, "addr");
   ASSERT_TRUE(table.ok());
@@ -257,7 +238,7 @@ TEST(FpgaDeviceTest, StructuralAndParallelFunctionalPathsAgree) {
   Bat structural(ValueType::kInt16);
   ASSERT_TRUE(structural.AppendZeros(strings.count()).ok());
   {
-    FpgaDevice fpga(device);  // no thread pool: structural FIFO path
+    FpgaDevice fpga(device);  // no thread pool: serial functional pass
     auto job = fpga.Submit(MakeJob(strings, &structural, *config));
     ASSERT_TRUE(job.ok());
     ASSERT_TRUE(fpga.WaitForJob(*job).ok());
