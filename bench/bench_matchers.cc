@@ -3,9 +3,11 @@
 // is costly in software" and for the PU's constant consumption rate.
 //
 // Besides the google-benchmark suite, main() measures the host kernel
-// backends (scalar vs. SIMD bit-parallel) on four representative
-// workloads and writes the numbers to BENCH_matchers.json (path override:
-// DOPPIO_BENCH_JSON) — the tracked perf trajectory for the CPU side.
+// backends (scalar vs. SIMD bit-parallel) on five representative
+// workloads, per row and through the block entry point over a real BAT
+// heap of the same corpus, and writes the numbers to BENCH_matchers.json
+// (path override: DOPPIO_BENCH_JSON) — the tracked perf trajectory for
+// the CPU side.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "bat/bat.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "hw/config_compiler.h"
@@ -54,6 +57,19 @@ const std::vector<std::string>& Corpus() {
   static const std::vector<std::string> corpus =
       MakeCorpus(SmokeMode() ? 300 : 10'000);
   return corpus;
+}
+
+/// The corpus as a string BAT: offsets into one NUL-terminated heap, the
+/// layout the device and the block entry point read.
+const Bat& CorpusBat() {
+  static const Bat* bat = [] {
+    auto* b = new Bat(ValueType::kString);
+    for (const auto& s : Corpus()) {
+      if (!b->AppendString(s).ok()) std::abort();
+    }
+    return b;
+  }();
+  return *bat;
 }
 
 int64_t CorpusBytes() {
@@ -239,6 +255,7 @@ const std::vector<BackendWorkload>& BackendWorkloads() {
       {"word_automaton", "8[0-9][0-9][0-9][0-9]"},
       {"multi_stage", "Str.*8[0-9][0-9][0-9]"},
       {"prefilter_dfa", QueryPattern(EvalQuery::kQ2)},
+      {"cold_literal", "57 Berner Gasse"},
   };
   return workloads;
 }
@@ -290,6 +307,31 @@ BackendMeasurement MeasureExecution(HostExecution* exec,
   return out;
 }
 
+/// The same execution through MatchRows over the corpus BAT's heap.
+BackendMeasurement MeasureBlock(HostExecution* exec, double min_seconds) {
+  const Bat& bat = CorpusBat();
+  RowRun run;
+  run.heap = bat.heap()->data();
+  run.offsets = reinterpret_cast<const uint32_t*>(bat.tail_data());
+  run.rows = static_cast<size_t>(bat.count());
+  std::vector<uint16_t> out(run.rows);
+  BackendMeasurement result;
+  result.kernel = exec->kernel_name();
+  exec->MatchRows(run, out.data());
+  for (uint16_t v : out) result.matches += v != 0;
+  int64_t reps = 0;
+  Stopwatch sw;
+  do {
+    exec->MatchRows(run, out.data());
+    benchmark::DoNotOptimize(out.data());
+    ++reps;
+  } while (sw.ElapsedSeconds() < min_seconds);
+  result.mbps = obs::SafeRate(
+      static_cast<double>(CorpusBytes()) * static_cast<double>(reps),
+      sw.ElapsedSeconds() * 1e6);
+  return result;
+}
+
 // google-benchmark view of the same comparison, so ad-hoc runs can chart
 // it with the standard tooling (`--benchmark_filter=HostBackend`).
 void RunHostBackend(benchmark::State& state, BackendId backend,
@@ -314,13 +356,13 @@ void BM_HostBackendScalarLazyDfa(benchmark::State& state) {
                  PuKernelOptions::Force::kLazyDfa);
 }
 BENCHMARK(BM_HostBackendScalarLazyDfa)
-    ->DenseRange(0, 3)
+    ->DenseRange(0, 4)
     ->Unit(benchmark::kMillisecond);
 
 void BM_HostBackendSimd(benchmark::State& state) {
   RunHostBackend(state, BackendId::kCpuSimd, PuKernelOptions::Force::kAuto);
 }
-BENCHMARK(BM_HostBackendSimd)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HostBackendSimd)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
 /// Measures every workload on all three host configurations and writes
 /// the tracked BENCH_matchers.json. Returns nonzero on any correctness or
@@ -364,19 +406,23 @@ int EmitBackendTrajectory() {
     BackendMeasurement scalar =
         MeasureExecution(scalar_exec.get(), min_seconds);
     BackendMeasurement simd = MeasureExecution(simd_exec.get(), min_seconds);
+    BackendMeasurement block = MeasureBlock(simd_exec.get(), min_seconds);
     if (baseline.matches != simd.matches ||
-        scalar.matches != simd.matches) {
+        scalar.matches != simd.matches || block.matches != simd.matches) {
       std::fprintf(stderr,
                    "%s: backend match counts disagree "
-                   "(lazy-dfa %lld, scalar %lld, simd %lld)\n",
+                   "(lazy-dfa %lld, scalar %lld, simd %lld, simd block "
+                   "%lld)\n",
                    w.name, static_cast<long long>(baseline.matches),
                    static_cast<long long>(scalar.matches),
-                   static_cast<long long>(simd.matches));
+                   static_cast<long long>(simd.matches),
+                   static_cast<long long>(block.matches));
       ok = false;
     }
 
     const double vs_lazy = obs::SafeRate(simd.mbps, baseline.mbps);
     const double vs_scalar = obs::SafeRate(simd.mbps, scalar.mbps);
+    const double block_vs_row = obs::SafeRate(block.mbps, simd.mbps);
     json.BeginObject();
     json.Field("name", w.name);
     json.Field("pattern", w.pattern);
@@ -385,18 +431,22 @@ int EmitBackendTrajectory() {
     json.Field("simd_kernel", simd.kernel);
     json.Field("scalar_kernel", scalar.kernel);
     json.Field("matches", simd.matches);
+    json.Field("block_matches", block.matches);
     json.Field("scalar_lazy_dfa_mbps", baseline.mbps);
     json.Field("scalar_auto_mbps", scalar.mbps);
     json.Field("simd_mbps", simd.mbps);
+    json.Field("simd_block_mbps", block.mbps);
     json.Field("speedup_vs_scalar_lazy_dfa", vs_lazy);
     json.Field("speedup_vs_scalar_auto", vs_scalar);
+    json.Field("speedup_block_vs_row", block_vs_row);
     json.EndObject();
 
     std::printf(
         "  %-14s %-22s lazy-dfa %8.1f MB/s  scalar(%s) %8.1f MB/s  "
-        "simd(%s) %8.1f MB/s  speedup %5.2fx\n",
+        "simd(%s) %8.1f MB/s  speedup %5.2fx  block %8.1f MB/s (%5.2fx)\n",
         w.name, simd.kernel.c_str(), baseline.mbps, scalar.kernel.c_str(),
-        scalar.mbps, simd.kernel.c_str(), simd.mbps, vs_lazy);
+        scalar.mbps, simd.kernel.c_str(), simd.mbps, vs_lazy, block.mbps,
+        block_vs_row);
   }
   json.EndArray();
   json.EndObject();

@@ -324,7 +324,9 @@ Status ExecuteScans(Hal* hal, const std::vector<ScanRequest>& requests) {
         stats.functional_bytes += status.functional_bytes;
         stats.functional_seconds += status.functional_host_seconds;
         at(suspect, d) = 0;
+        slice->job.Retire();
       } else if (IsFallbackEligible(st)) {
+        slice->job.Retire();
         slice->fallback = true;
         at(suspect, d) = 1;
         // Fault feedback: this device just burned its whole retry budget

@@ -43,6 +43,11 @@ Status FpgaJob::Cancel() {
   return device_->CancelJob(id_);
 }
 
+void FpgaJob::Retire() {
+  DOPPIO_CHECK(valid());
+  device_->Retire(id_);
+}
+
 bool FpgaJob::Done() const {
   DOPPIO_CHECK(valid());
   return device_->status(id_)->done.load(std::memory_order_acquire) != 0;

@@ -34,6 +34,11 @@ class FpgaJob {
   /// Abandons the job: a queued descriptor is skipped by the distributor.
   Status Cancel();
 
+  /// The caller is done reading this job: the device frees its blocks
+  /// once it no longer touches them (FpgaDevice::Retire). status() must
+  /// not be called afterwards.
+  void Retire();
+
   /// Non-blocking poll of the done bit.
   bool Done() const;
 

@@ -148,6 +148,7 @@ Status AwaitJobWithRecovery(FpgaDevice* device, FpgaJob* job,
       outcome->final_status = retry.status();
       return retry.status();
     }
+    job->Retire();  // the abandoned attempt; the retry replaces it
     *job = *retry;
   }
 }

@@ -148,22 +148,54 @@ Result<JobId> FpgaDevice::Submit(JobParams params,
   record->params = std::move(params);
   record->status.device_id = device_id_;
   JobRecord* raw = record.get();
-  JobId id = static_cast<JobId>(jobs_.size());
-  jobs_.push_back(std::move(record));
-  Status st =
-      distributor_->Enqueue(&raw->params, &raw->status, std::move(on_done));
-  if (!st.ok()) {
-    jobs_.pop_back();
-    return st;
-  }
+  const JobId id = next_job_id_;
+  Status st = distributor_->Enqueue(&raw->params, &raw->status,
+                                    std::move(on_done),
+                                    [this, id] { Release(id); });
+  if (!st.ok()) return st;
+  ++next_job_id_;
+  jobs_.emplace(id, std::move(record));
   JobsSubmittedCounter().Add();
   return id;
 }
 
+void FpgaDevice::Release(JobId id) {
+  // Runs inside a scheduler event, under sim_mutex_.
+  auto it = jobs_.find(id);
+  if (it == jobs_.end()) return;
+  if (it->second->retired) {
+    jobs_.erase(it);
+  } else {
+    it->second->released = true;
+  }
+}
+
+void FpgaDevice::Retire(JobId id) {
+  std::lock_guard<std::recursive_mutex> lock(sim_mutex_);
+  auto it = jobs_.find(id);
+  if (it == jobs_.end()) return;
+  if (it->second->released) {
+    jobs_.erase(it);
+  } else {
+    it->second->retired = true;
+  }
+}
+
 JobStatus* FpgaDevice::status(JobId id) {
   std::lock_guard<std::recursive_mutex> lock(sim_mutex_);
-  if (id < 0 || id >= static_cast<JobId>(jobs_.size())) return nullptr;
-  return &jobs_[static_cast<size_t>(id)]->status;
+  auto it = jobs_.find(id);
+  if (it == jobs_.end() || it->second->retired) return nullptr;
+  return &it->second->status;
+}
+
+int64_t FpgaDevice::jobs_submitted() const {
+  std::lock_guard<std::recursive_mutex> lock(sim_mutex_);
+  return next_job_id_;
+}
+
+int64_t FpgaDevice::jobs_retained() const {
+  std::lock_guard<std::recursive_mutex> lock(sim_mutex_);
+  return static_cast<int64_t>(jobs_.size());
 }
 
 SimTime FpgaDevice::RunToIdle() {

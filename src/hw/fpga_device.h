@@ -7,11 +7,11 @@
 // clock. Host wall-clock plays no role on this side of the system.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/macros.h"
@@ -48,6 +48,13 @@ class FpgaDevice {
   Result<JobId> Submit(JobParams params,
                        std::function<void()> on_done = nullptr);
 
+  /// The submitter is done with job `id`: its parameter/status blocks are
+  /// freed as soon as the device no longer touches them (at once for a
+  /// finished job; a queued or running one keeps them until it completes
+  /// or, cancelled, is skipped). A job never retired keeps its blocks for
+  /// the device's lifetime. Unknown or already retired ids are a no-op.
+  void Retire(JobId id);
+
   /// Hardware side of the AAL handshake: publishes the AFU id into the
   /// Device Status Memory and attaches it for diagnostics mirroring.
   void PublishDsm(DeviceStatusMemory* dsm);
@@ -59,7 +66,8 @@ class FpgaDevice {
   /// Per-engine utilization summary over [0, now()].
   std::string UtilizationSummary() const;
 
-  /// Status block of a job (valid for the device's lifetime).
+  /// Status block of a job (valid until the job is retired); null for an
+  /// unknown or retired id.
   JobStatus* status(JobId id);
 
   /// Advances virtual time until all submitted work is done.
@@ -94,10 +102,15 @@ class FpgaDevice {
   const QpiLink& qpi() const { return qpi_; }
   const RegexEngine& engine(int i) const { return *engines_[i]; }
   JobDistributor* distributor() { return distributor_.get(); }
-  int64_t jobs_submitted() const { return static_cast<int64_t>(jobs_.size()); }
+  int64_t jobs_submitted() const;
+  /// Parameter/status blocks the device holds right now (jobs queued,
+  /// running, or finished and not yet retired).
+  int64_t jobs_retained() const;
 
  private:
   Status ValidateJob(const JobParams& params) const;
+  /// The device is done with job `id`'s blocks (completed or skipped).
+  void Release(JobId id);
 
   /// Serializes access to the virtual-time machinery. Multiple host
   /// threads may Submit/WaitForJob concurrently (the paper's multi-client
@@ -119,8 +132,12 @@ class FpgaDevice {
   struct JobRecord {
     JobParams params;
     JobStatus status;
+    bool released = false;  // the device no longer touches the blocks
+    bool retired = false;   // the submitter no longer reads them
   };
-  std::deque<std::unique_ptr<JobRecord>> jobs_;
+  /// Records of jobs not yet both released and retired, by id.
+  std::unordered_map<JobId, std::unique_ptr<JobRecord>> jobs_;
+  JobId next_job_id_ = 0;
 
   /// Submission sequence for the fault plan's transient-Submit lottery.
   std::atomic<uint64_t> submit_seq_{0};

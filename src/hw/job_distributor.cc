@@ -64,14 +64,18 @@ void JobDistributor::UpdateIdleMirror() {
 }
 
 Status JobDistributor::Enqueue(JobParams* params, JobStatus* status,
-                               std::function<void()> on_done) {
+                               std::function<void()> on_done,
+                               std::function<void()> on_release) {
   status->enqueue_time = scheduler_->now();
   JobDescriptor descriptor;
   descriptor.params_addr = reinterpret_cast<uint64_t>(params);
   descriptor.status_addr = reinterpret_cast<uint64_t>(status);
   descriptor.job_id = next_job_id_++;
   status->queue_job_id = descriptor.job_id;
-  if (on_done) callbacks_[descriptor.job_id] = std::move(on_done);
+  if (on_done || on_release) {
+    callbacks_[descriptor.job_id] =
+        Callbacks{std::move(on_done), std::move(on_release)};
+  }
   if (!queue_->Push(descriptor)) {
     callbacks_.erase(descriptor.job_id);
     QueueRejectedCounter().Add();
@@ -91,6 +95,16 @@ Status JobDistributor::Enqueue(JobParams* params, JobStatus* status,
   scheduler_->ScheduleAfter(PicosFromSeconds(device_.job_poll_sec),
                             [this] { TryDispatch(); });
   return Status::OK();
+}
+
+JobDistributor::Callbacks JobDistributor::TakeCallbacks(uint64_t job_id) {
+  Callbacks callbacks;
+  auto it = callbacks_.find(job_id);
+  if (it != callbacks_.end()) {
+    callbacks = std::move(it->second);
+    callbacks_.erase(it);
+  }
+  return callbacks;
 }
 
 void JobDistributor::TryDispatch() {
@@ -116,8 +130,9 @@ void JobDistributor::TryDispatch() {
       // The HAL gave up on this attempt (deadline expired, requeued): a
       // cancelled descriptor is discarded, never dispatched, so the retry
       // does not race a stale execution for the engine.
-      callbacks_.erase(descriptor.job_id);
+      Callbacks callbacks = TakeCallbacks(descriptor.job_id);
       CancelledSkippedCounter().Add();
+      if (callbacks.on_release) callbacks.on_release();
       continue;
     }
     ++jobs_dispatched_;
@@ -139,15 +154,11 @@ void JobDistributor::TryDispatch() {
                                   TraceEvent::Kind::kJobDone, id,
                                   engine->id(), 0});
       }
-      auto it = callbacks_.find(id);
-      std::function<void()> on_done;
-      if (it != callbacks_.end()) {
-        on_done = std::move(it->second);
-        callbacks_.erase(it);
-      }
+      Callbacks callbacks = TakeCallbacks(id);
       // A dropped job's completion callback must never fire — the caller
       // sees it only through the missing done bit.
-      if (on_done && !dropped) on_done();
+      if (callbacks.on_done && !dropped) callbacks.on_done();
+      if (callbacks.on_release) callbacks.on_release();
       // A job finished (or vanished): an engine is idle again.
       TryDispatch();
     });
@@ -155,12 +166,9 @@ void JobDistributor::TryDispatch() {
       DOPPIO_LOG(Error) << "job dispatch failed: " << st.ToString();
       status->error = st;
       status->done.store(1, std::memory_order_release);
-      auto it = callbacks_.find(id);
-      if (it != callbacks_.end()) {
-        auto on_done = std::move(it->second);
-        callbacks_.erase(it);
-        if (on_done) on_done();
-      }
+      Callbacks callbacks = TakeCallbacks(id);
+      if (callbacks.on_done) callbacks.on_done();
+      if (callbacks.on_release) callbacks.on_release();
     }
   }
   UpdateIdleMirror();

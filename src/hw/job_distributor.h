@@ -30,11 +30,15 @@ class JobDistributor {
 
   /// Enqueues a job descriptor at the scheduler's current virtual time.
   /// `on_done` fires (in virtual time) when the engine sets the done bit.
+  /// `on_release` fires once the device no longer touches the
+  /// descriptor's parameter and status blocks: after completion (also of
+  /// a dropped job), or when a cancelled descriptor is skipped.
   /// Fails with ResourceExhausted when the shared ring is full — the ring
   /// never grows past its capacity; the HAL surfaces the back-pressure to
   /// the caller (retry lifecycle / scheduler), which waits out the drain.
   Status Enqueue(JobParams* params, JobStatus* status,
-                 std::function<void()> on_done);
+                 std::function<void()> on_done,
+                 std::function<void()> on_release = nullptr);
 
   /// Mirrors diagnostics into the Device Status Memory once a session is
   /// established.
@@ -54,7 +58,13 @@ class JobDistributor {
   DeviceConfig device_;
   std::vector<RegexEngine*> engines_;
   std::unique_ptr<SharedJobQueue> queue_;
-  std::map<uint64_t, std::function<void()>> callbacks_;
+  struct Callbacks {
+    std::function<void()> on_done;
+    std::function<void()> on_release;
+  };
+  /// Removes and returns a descriptor's callbacks (empty when none).
+  Callbacks TakeCallbacks(uint64_t job_id);
+  std::map<uint64_t, Callbacks> callbacks_;
   uint64_t next_job_id_ = 1;
   int64_t jobs_dispatched_ = 0;
   DeviceStatusMemory* dsm_ = nullptr;

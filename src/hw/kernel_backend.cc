@@ -135,6 +135,17 @@ class SimdExecution : public HostExecution {
     return scalar_->Match(input);
   }
 
+  void MatchRows(const RowRun& run, uint16_t* match) override {
+    if (bitparallel_.has_value()) {
+      bitparallel_->FindRows(run.heap, run.offsets, run.rows, match, level_);
+      return;
+    }
+    // The prefiltered DFA stays per row: its start bytes are common in
+    // address text, so a heap-wide prefilter stops about once per row
+    // anyway and only adds the row lookup.
+    HostExecution::MatchRows(run, match);
+  }
+
   void MatchSet(std::string_view input, uint16_t* match) override {
     if (program_->num_patterns() == 1) {
       match[0] = Match(input);
@@ -255,6 +266,30 @@ const KernelBackend& BackendRegistry::ChooseHost(
   return simd.Supports(program) ? simd : Get(BackendId::kCpuScalar);
 }
 
+void MatchBlockRows(HostExecution& exec, const JobParams& params,
+                    const StringReader::Block& block, size_t begin,
+                    size_t end, uint16_t* out) {
+  if (params.streams == 1 && params.offset_width == 4) {
+    RowRun run;
+    run.heap = params.heap;
+    run.offsets = reinterpret_cast<const uint32_t*>(params.offsets) +
+                  block.first_string + static_cast<int64_t>(begin);
+    run.strings = block.strings.data() + begin;
+    run.rows = end - begin;
+    exec.MatchRows(run, out);
+    return;
+  }
+  const size_t width = static_cast<size_t>(params.streams);
+  for (size_t i = begin; i < end; ++i) {
+    uint16_t* row = out + (i - begin) * width;
+    if (width == 1) {
+      row[0] = exec.Match(block.strings[i]);
+    } else {
+      exec.MatchSet(block.strings[i], row);
+    }
+  }
+}
+
 Result<int64_t> RunHostSlice(const JobParams& params, HostSliceInfo* info) {
   const std::shared_ptr<const CompiledPuProgram>& program = params.program;
   if (program == nullptr) {
@@ -273,16 +308,15 @@ Result<int64_t> RunHostSlice(const JobParams& params, HostSliceInfo* info) {
   }
   StringReader reader(params);
   OutputCollector collector(params);
-  std::vector<uint16_t> values(static_cast<size_t>(streams));
+  const size_t width = static_cast<size_t>(streams);
+  std::vector<uint16_t> values;
   while (reader.HasMore()) {
     DOPPIO_ASSIGN_OR_RETURN(StringReader::Block block, reader.ReadBlock());
-    for (std::string_view s : block.strings) {
-      if (streams == 1) {
-        DOPPIO_RETURN_NOT_OK(collector.Append(exec->Match(s)));
-      } else {
-        exec->MatchSet(s, values.data());
-        DOPPIO_RETURN_NOT_OK(collector.AppendSet(values.data(), streams));
-      }
+    const size_t n = block.strings.size();
+    values.resize(n * width);
+    MatchBlockRows(*exec, params, block, 0, n, values.data());
+    for (size_t i = 0; i < n; ++i) {
+      DOPPIO_RETURN_NOT_OK(collector.AppendSet(&values[i * width], streams));
     }
   }
   return collector.matches();

@@ -35,6 +35,7 @@
 #include "common/status.h"
 #include "hw/job.h"
 #include "hw/pu_kernel.h"
+#include "hw/string_reader.h"
 
 namespace doppio {
 
@@ -48,6 +49,17 @@ const char* BackendName(BackendId id);
 /// tests can flip it.
 std::optional<BackendId> ForcedBackend();
 
+/// A run of rows in one string heap: row i is the NUL-terminated string at
+/// heap + offsets[i]. `strings`, when set, holds the same rows already
+/// parsed (the String Reader's views), so per-row executions need not
+/// measure them again.
+struct RowRun {
+  const uint8_t* heap = nullptr;
+  const uint32_t* offsets = nullptr;
+  const std::string_view* strings = nullptr;
+  size_t rows = 0;
+};
+
 /// Per-thread execution state of one backend over one program: matchers,
 /// DFA caches, scratch. Create one per worker, reuse across strings.
 class HostExecution {
@@ -57,6 +69,19 @@ class HostExecution {
   /// PU ProcessString semantics: 1-based position of the first match's
   /// last character saturated at 65535, or 0 for no match.
   virtual uint16_t Match(std::string_view input) = 0;
+
+  /// Block semantics of a single-pattern program: match[i] receives
+  /// Match() of row i of the run. The default is the per-row Match loop;
+  /// an execution may override it to scan the heap span the rows occupy
+  /// as one stream (docs/BACKENDS.md "Block execution").
+  virtual void MatchRows(const RowRun& run, uint16_t* match) {
+    const char* base = reinterpret_cast<const char*>(run.heap);
+    for (size_t i = 0; i < run.rows; ++i) {
+      match[i] = Match(run.strings != nullptr
+                           ? run.strings[i]
+                           : std::string_view(base + run.offsets[i]));
+    }
+  }
 
   /// Set-program semantics: fills match[0 .. program num_patterns) with
   /// each tagged stream's first-accept index, each stream bit-identical
@@ -110,6 +135,14 @@ class BackendRegistry {
   std::vector<std::unique_ptr<KernelBackend>> owned_;
   std::vector<const KernelBackend*> list_;
 };
+
+/// Runs rows [begin, end) of a reader block through `exec`, writing
+/// params.streams indexes per row, row-major, to out[0 ..). A
+/// single-stream job with 32-bit offsets goes through MatchRows over the
+/// heap; anything else row by row.
+void MatchBlockRows(HostExecution& exec, const JobParams& params,
+                    const StringReader::Block& block, size_t begin,
+                    size_t end, uint16_t* out);
 
 /// Observability of one host-slice run (which backend/kernel executed).
 struct HostSliceInfo {

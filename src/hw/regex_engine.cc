@@ -146,7 +146,9 @@ Status RegexEngine::RunFunctional(JobParams* params, JobStatus* status,
   // so the functional pass is a plain host execution of the program over
   // contiguous shards, on whichever bit-identical backend the registry
   // picks. Each shard builds its execution on first use and keeps it (and
-  // its DFA cache) for the job's remaining blocks.
+  // its DFA cache) for the job's remaining blocks; a single-stream shard
+  // hands its whole run of rows to the execution at once (MatchRows), so
+  // a bit-parallel program scans the shard's heap span in one pass.
   const KernelBackend& backend = BackendRegistry::Global().ChooseHost(*program);
   const int shards = pool_ != nullptr && pool_->num_threads() > 1 &&
                              params->count >= kParallelThreshold
@@ -178,13 +180,8 @@ Status RegexEngine::RunFunctional(JobParams* params, JobStatus* status,
       std::unique_ptr<HostExecution>& exec =
           executions[static_cast<size_t>(shard)];
       if (exec == nullptr) exec = backend.NewExecution(program);
-      for (size_t i = begin; i < end; ++i) {
-        if (streams == 1) {
-          results[i] = exec->Match(block.strings[i]);
-        } else {
-          exec->MatchSet(block.strings[i], &results[i * width]);
-        }
-      }
+      MatchBlockRows(*exec, *params, block, begin, end,
+                     &results[begin * width]);
     };
     if (shards == 1) {
       run_shard(0);
@@ -286,9 +283,10 @@ void RegexEngine::Finalize() {
     metric_jobs_->Add();
     metric_bytes_->Add(status->bytes_streamed);
 
-    // The device keeps every job's parameter block after the job ends
-    // (FpgaDevice::jobs_); dropping the program here keeps that history
-    // from holding every program ever submitted alive.
+    // The device keeps a job's parameter block until its submitter
+    // retires it (FpgaDevice::Retire), and forever for one that never
+    // does; dropping the program here keeps those records from holding
+    // every program ever submitted alive.
     params->program.reset();
     busy_ = false;
     params_ = nullptr;

@@ -2,7 +2,8 @@
 //
 // Everything here is a *candidate finder*: given a haystack and a small
 // set of target bytes, return the first position whose byte is in the
-// set. The callers (regex/bitparallel, hw/kernel_backend) verify
+// set (or, for the pair scan, whose byte and the byte a fixed distance
+// later are each in their own set). The callers (regex/bitparallel, hw/kernel_backend) verify
 // candidates with exact logic, so these scans only ever have to be
 // conservative-complete, never precise — which is what makes the three
 // implementations (AVX2, SSE2, scalar table walk) trivially
@@ -49,6 +50,21 @@ size_t FindByteSet(std::string_view haystack, size_t from,
 /// DetectedSimdLevel() are clamped to it).
 size_t FindByteSetAtLevel(std::string_view haystack, size_t from,
                           const uint8_t* bytes, int n, SimdLevel level);
+
+/// A scan target: bytes[0..count), count in [1, kMaxScanBytes].
+struct ByteSet {
+  uint8_t bytes[kMaxScanBytes] = {};
+  int count = 0;
+};
+
+/// Two-position candidate scan: the first index c >= `from` whose byte is
+/// in `first` and whose byte at c + `distance` is in `second`, or npos.
+/// Positions whose partner would lie at or past the haystack's end are
+/// never candidates, and no level reads a byte outside the haystack. All
+/// levels return identical results.
+size_t FindBytePairAtLevel(std::string_view haystack, size_t from,
+                           const ByteSet& first, const ByteSet& second,
+                           size_t distance, SimdLevel level);
 
 }  // namespace simd
 }  // namespace doppio

@@ -191,6 +191,49 @@ TEST(DevicePoolTest, PoolOfOneEquivalenceHoldsUnderFaults) {
   EXPECT_EQ(direct.device()->now(), pooled.device()->now());
 }
 
+// The HAL path retires every job once it has read the job's status, so a
+// device holds parameter/status blocks only for work in flight — also
+// when dropped attempts are cancelled, resubmitted or degraded.
+TEST(DevicePoolTest, BatchJobRecordsDropBackToZero) {
+  FaultPlan faults;
+  faults.enabled = true;
+  faults.seed = 5;
+  faults.drop_rate = 0.2;
+  for (bool faulty : {false, true}) {
+    Hal::Options options = PoolHal(2);
+    if (faulty) options.device.faults = faults;
+    Hal hal(options);
+    Bat input(ValueType::kString, hal.bat_allocator());
+    FillInput(&hal, &input, 10);
+    auto config = hal.CompileConfig("Gasse");
+    ASSERT_TRUE(config.ok());
+
+    // 100 waves of 10 queries x 10 one-row slices: 10 000 jobs.
+    for (int wave = 0; wave < 100; ++wave) {
+      std::vector<FpgaBatchQuery> queries(10);
+      std::vector<FpgaBatchQuery*> batch;
+      for (FpgaBatchQuery& q : queries) {
+        q.input = &input;
+        q.config = &*config;
+        q.partitions = 10;
+        batch.push_back(&q);
+      }
+      ASSERT_TRUE(RegexpFpgaBatch(&hal, batch).ok());
+    }
+    int64_t submitted = 0;
+    for (int d = 0; d < hal.pool()->size(); ++d) {
+      submitted += hal.pool()->device(d)->jobs_submitted();
+      EXPECT_EQ(hal.pool()->device(d)->jobs_retained(), 0)
+          << "device " << d << (faulty ? " with drop faults" : "");
+    }
+    if (faulty) {
+      EXPECT_GT(submitted, 10'000);  // dropped attempts were resubmitted
+    } else {
+      EXPECT_EQ(submitted, 10'000);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Sharded execution: determinism, correctness, attribution.
 // ---------------------------------------------------------------------

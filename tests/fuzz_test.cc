@@ -1,7 +1,9 @@
 // Robustness fuzzing: random and mutated inputs must produce clean Status
-// errors, never crashes, hangs or invalid states. The last test is a
-// differential one: the device's functional pass against independent
-// oracles on random programs and corpora.
+// errors, never crashes, hangs or invalid states. The last two tests are
+// differential: the device's functional pass against independent oracles
+// on random programs and corpora, and the host executions' block entry
+// point (HostExecution::MatchRows) against per-row Match and the DFA on
+// hand-built string heaps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +11,9 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "bat/bat.h"
 #include "common/random.h"
@@ -17,9 +22,11 @@
 #include "hw/config_vector.h"
 #include "hw/fpga_device.h"
 #include "hw/kernel_backend.h"
+#include "regex/bitparallel.h"
 #include "regex/dfa_matcher.h"
 #include "regex/like_translator.h"
 #include "regex/pattern_parser.h"
+#include "regex/simd_scan.h"
 #include "regex/token_extractor.h"
 #include "sql/parser.h"
 
@@ -398,6 +405,209 @@ TEST(FuzzTest, FunctionalPassMatchesOraclesOnEveryBackend) {
     setenv("DOPPIO_FORCE_BACKEND", saved->c_str(), 1);
   } else {
     unsetenv("DOPPIO_FORCE_BACKEND");
+  }
+}
+
+// Random chain-shaped patterns (the bit-parallel engine's domain): 1-3
+// stages glued by '.*', each a run of literal bytes, narrow and wide
+// classes and '.', so stages get two rare positions, one, or none.
+std::string RandomChainPattern(Rng* rng) {
+  static const char* const kTokens[] = {"a", "b", "c", "x",     "[ab]",
+                                        "[0-9]", "[a-z]", ".", "ab", "cx"};
+  std::string pattern;
+  const int stages = 1 + static_cast<int>(rng->NextBounded(3));
+  for (int s = 0; s < stages; ++s) {
+    if (s > 0) pattern += ".*";
+    const int tokens = 1 + static_cast<int>(rng->NextBounded(4));
+    for (int t = 0; t < tokens; ++t) {
+      pattern += kTokens[rng->NextBounded(std::size(kTokens))];
+    }
+  }
+  return pattern;
+}
+
+// A string the pattern matches: each token sampled, '.*' a short filler.
+std::string SampleMatch(const std::string& pattern, Rng* rng) {
+  std::string out;
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    const char c = pattern[i];
+    if (c == '.' && i + 1 < pattern.size() && pattern[i + 1] == '*') {
+      out += rng->FromAlphabet("abcx09 ", rng->NextBounded(3));
+      ++i;
+    } else if (c == '.') {
+      out += rng->FromAlphabet("abcx09-", 1);
+    } else if (c == '[') {
+      const size_t close = pattern.find(']', i);
+      const std::string cls = pattern.substr(i + 1, close - i - 1);
+      out += cls == "ab" ? rng->FromAlphabet("ab", 1)
+             : cls == "0-9" ? rng->FromAlphabet("0123456789", 1)
+                            : rng->FromAlphabet("abcxyz", 1);
+      i = close;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+// A hand-built string heap: a header, then every string NUL-terminated
+// with 0-3 NUL padding bytes (often none, so a row's terminator sits right
+// against the next row's first byte). The allocation ends exactly at the
+// last string's terminator, so a sanitizer build flags any load past it.
+struct RawHeap {
+  std::unique_ptr<char[]> bytes;
+  std::vector<uint32_t> starts;  // offset of string i
+};
+
+RawHeap BuildHeap(const std::vector<std::string>& strings, Rng* rng) {
+  std::string bytes(16, 'H');  // header bytes the rows never cover
+  RawHeap heap;
+  for (size_t i = 0; i < strings.size(); ++i) {
+    heap.starts.push_back(static_cast<uint32_t>(bytes.size()));
+    bytes += strings[i];
+    const bool last = i + 1 == strings.size();
+    bytes.append(
+        1 + (last || rng->Bernoulli(0.5) ? 0 : rng->NextBounded(4)), '\0');
+  }
+  heap.bytes = std::make_unique<char[]>(bytes.size());
+  std::copy(bytes.begin(), bytes.end(), heap.bytes.get());
+  return heap;
+}
+
+// Strings for one pattern: random rows, empty rows, a match split across
+// two adjacent rows (prefix ends one, suffix starts the next), a match in
+// the last string, and three rows of 65534/65535/65536 bytes whose match
+// ends at the row's end. An odd count keeps the last string in the
+// every-other-row layout.
+std::vector<std::string> PlantedStrings(const std::string& pattern,
+                                        Rng* rng) {
+  const std::string alphabet = "abcxyz0129 -";
+  std::vector<std::string> rows;
+  for (int i = 0; i < 120; ++i) {
+    rows.push_back(rng->Bernoulli(0.1)
+                       ? std::string()
+                       : rng->FromAlphabet(alphabet, rng->NextBounded(30)));
+    if (rng->Bernoulli(0.15)) rows.back() += SampleMatch(pattern, rng);
+  }
+  for (int k = 0; k < 4; ++k) {
+    const std::string sample = SampleMatch(pattern, rng);
+    const size_t cut =
+        sample.size() <= 1 ? 0 : 1 + rng->NextBounded(sample.size() - 1);
+    const size_t at = rng->NextBounded(rows.size());
+    rows.insert(rows.begin() + static_cast<long>(at),
+                {rng->FromAlphabet(alphabet, 3) + sample.substr(0, cut),
+                 sample.substr(cut) + rng->FromAlphabet(alphabet, 3)});
+  }
+  for (size_t length : {65534u, 65535u, 65536u}) {
+    const std::string sample = SampleMatch(pattern, rng);
+    std::string row(length - sample.size(), '-');
+    row += sample;
+    rows.insert(rows.begin() + static_cast<long>(
+                                   rng->NextBounded(rows.size() + 1)),
+                std::move(row));
+  }
+  rows.push_back(rng->FromAlphabet(alphabet, 5) + SampleMatch(pattern, rng));
+  if (rows.size() % 2 == 0) rows.insert(rows.begin(), std::string());
+  return rows;
+}
+
+TEST(FuzzTest, BlockMatchAgreesWithRowsAndOracle) {
+  const char* env = std::getenv("DOPPIO_SIMD_LEVEL");
+  const std::optional<std::string> saved =
+      env != nullptr ? std::optional<std::string>(env) : std::nullopt;
+
+  DeviceConfig device;
+  device.max_chars = 64;
+  device.max_states = 32;
+  Rng rng(4242);
+  int programs = 0;
+  int filters[3] = {0, 0, 0};  // stage-0 filters: none, one, two positions
+  for (int attempt = 0; attempt < 200 && programs < 40; ++attempt) {
+    const std::string pattern = RandomChainPattern(&rng);
+    auto config = CompileRegexConfig(pattern, device);
+    if (!config.ok()) continue;
+    auto dfa = DfaMatcher::Compile(pattern);
+    ASSERT_TRUE(dfa.ok()) << pattern;
+    const std::shared_ptr<const CompiledPuProgram>& program =
+        config->program;
+    auto bp = BitParallelProgram::Compile(program->nfa());
+    ASSERT_TRUE(bp.has_value()) << pattern;
+    ++programs;
+    ++filters[bp->num_pair_filtered_stages() > 0   ? 2
+              : bp->num_anchored_stages() > 0 ? 1
+                                              : 0];
+
+    const std::vector<std::string> strings = PlantedStrings(pattern, &rng);
+    const RawHeap heap = BuildHeap(strings, &rng);
+    const auto* base = reinterpret_cast<const uint8_t*>(heap.bytes.get());
+
+    // Row layouts over the same heap. Contiguous and every-other-string
+    // offsets strictly increase (the latter leaves other strings in the
+    // gaps); overlapping ones add a row one byte into the next string, so
+    // a row runs past the next row's offset; the shuffled ones are not
+    // monotone and take the per-row fallback.
+    std::vector<std::pair<std::string, std::vector<uint32_t>>> layouts;
+    layouts.emplace_back("contiguous", heap.starts);
+    std::vector<uint32_t> gaps;
+    for (size_t i = 0; i < heap.starts.size(); i += 2) {
+      gaps.push_back(heap.starts[i]);
+    }
+    layouts.emplace_back("every-other", gaps);
+    std::vector<uint32_t> overlapping;
+    for (size_t i = 0; i < heap.starts.size(); ++i) {
+      overlapping.push_back(heap.starts[i]);
+      if (strings[i].size() > 1 && rng.Bernoulli(0.3)) {
+        overlapping.push_back(heap.starts[i] + 1);
+      }
+    }
+    layouts.emplace_back("overlapping", overlapping);
+    std::vector<uint32_t> shuffled = heap.starts;
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.NextBounded(i)]);
+    }
+    layouts.emplace_back("shuffled", shuffled);
+
+    for (const auto& [layout, offsets] : layouts) {
+      std::vector<uint16_t> oracle(offsets.size());
+      for (size_t i = 0; i < offsets.size(); ++i) {
+        const MatchResult m =
+            (*dfa)->Find(std::string_view(heap.bytes.get() + offsets[i]));
+        oracle[i] = m.matched ? static_cast<uint16_t>(
+                                    std::min<int32_t>(m.end, 65535))
+                              : 0;
+      }
+      for (const char* level : {"scalar", "sse2", "avx2"}) {
+        setenv("DOPPIO_SIMD_LEVEL", level, 1);
+        auto exec =
+            BackendRegistry::Global().Get(BackendId::kCpuSimd).NewExecution(
+                program);
+        ASSERT_STREQ(exec->kernel_name(), "bit-parallel") << pattern;
+        RowRun run;
+        run.heap = base;
+        run.offsets = offsets.data();
+        run.rows = offsets.size();
+        std::vector<uint16_t> block(offsets.size(), 0xBEEF);
+        exec->MatchRows(run, block.data());
+        const std::string what = pattern + " " + layout + " " + level;
+        for (size_t i = 0; i < offsets.size(); ++i) {
+          const uint16_t row = exec->Match(
+              std::string_view(heap.bytes.get() + offsets[i]));
+          ASSERT_EQ(row, oracle[i]) << what << " per-row, row " << i;
+          ASSERT_EQ(block[i], oracle[i]) << what << " block, row " << i;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(programs, 40);
+  // Every stage-0 candidate filter is exercised.
+  EXPECT_GT(filters[0], 0);
+  EXPECT_GT(filters[1], 0);
+  EXPECT_GT(filters[2], 0);
+
+  if (saved.has_value()) {
+    setenv("DOPPIO_SIMD_LEVEL", saved->c_str(), 1);
+  } else {
+    unsetenv("DOPPIO_SIMD_LEVEL");
   }
 }
 

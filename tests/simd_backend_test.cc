@@ -89,6 +89,41 @@ TEST(SimdScanTest, LevelsAgreeOnRandomHaystacks) {
   }
 }
 
+TEST(SimdScanTest, PairLevelsAgreeOnRandomHaystacks) {
+  Rng rng(43);
+  const std::string alphabet = "abcdefgh01234567 ";
+  for (int iter = 0; iter < 300; ++iter) {
+    // 0..96 bytes: every vector/tail split at both widths, with partners
+    // up to 20 bytes away (some past the end).
+    const std::string hay = rng.FromAlphabet(alphabet, rng.NextBounded(97));
+    simd::ByteSet sets[2];
+    for (simd::ByteSet& set : sets) {
+      set.count = 1 + static_cast<int>(rng.NextBounded(simd::kMaxScanBytes));
+      for (int i = 0; i < set.count; ++i) {
+        set.bytes[i] = static_cast<uint8_t>(
+            alphabet[rng.NextBounded(alphabet.size())]);
+      }
+    }
+    const size_t distance = rng.NextBounded(21);
+    for (size_t from = 0; from <= hay.size(); from += 1 + from / 4) {
+      const size_t expect = simd::FindBytePairAtLevel(
+          hay, from, sets[0], sets[1], distance, simd::SimdLevel::kScalar);
+      if (expect != std::string::npos) {
+        ASSERT_LT(expect + distance, hay.size());
+      }
+      for (simd::SimdLevel level :
+           {simd::SimdLevel::kSse2, simd::SimdLevel::kAvx2}) {
+        if (level > simd::DetectedSimdLevel()) continue;
+        EXPECT_EQ(simd::FindBytePairAtLevel(hay, from, sets[0], sets[1],
+                                            distance, level),
+                  expect)
+            << "level " << simd::SimdLevelName(level) << " from " << from
+            << " distance " << distance;
+      }
+    }
+  }
+}
+
 TEST(SimdScanTest, EnvVarCapsActiveLevel) {
   {
     ScopedEnv env("DOPPIO_SIMD_LEVEL", "scalar");
@@ -115,6 +150,24 @@ TEST(BitParallelTest, CompilesChainShapesOnly) {
   // Alternation fans out the state graph: no chain shape.
   auto alt = CompileProgram("(abc|xyz)");
   EXPECT_FALSE(BitParallelProgram::Compile(alt->nfa()).has_value());
+}
+
+TEST(BitParallelTest, FiltersOnTwoRarePositionsWhenItCan) {
+  // A literal filters on its first and last byte.
+  auto literal = CompileProgram("57 Berner Gasse");
+  auto bp = BitParallelProgram::Compile(literal->nfa());
+  ASSERT_TRUE(bp.has_value());
+  EXPECT_EQ(bp->num_pair_filtered_stages(), 1);
+  EXPECT_EQ(bp->Find("x|57 Berner Gasse|1"), 17);
+  EXPECT_EQ(bp->Find("57 Berner Gass"), 0);
+
+  // One rare position: a single-byte anchor.
+  auto one = CompileProgram("8[0-9][0-9][0-9][0-9]");
+  bp = BitParallelProgram::Compile(one->nfa());
+  ASSERT_TRUE(bp.has_value());
+  EXPECT_EQ(bp->num_anchored_stages(), 1);
+  EXPECT_EQ(bp->num_pair_filtered_stages(), 0);
+  EXPECT_EQ(bp->Find("a 7 80327"), 9);
 }
 
 TEST(BitParallelTest, WideClassStageRunsUnanchored) {
